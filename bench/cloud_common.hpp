@@ -2,8 +2,9 @@
 
 // Shared plumbing for the cloud_* scenario family: a fully wired
 // unidirectional RC attachment between two hosts of a fabric::Topology (the
-// cloud analogue of Testbed::connect, which presumes the two-host facade),
-// plus the closed-loop posting helper every tenant actor uses.
+// cloud analogue of Testbed::connect, which presumes the Testbed's server +
+// clients mesh), plus the closed-loop posting helper every tenant actor
+// uses.
 #include <cassert>
 #include <cstdint>
 #include <memory>

@@ -1,7 +1,7 @@
 // cloud_* scenario family: volatile channels that live in the *network*
 // rather than on the NIC.  Both scenarios build a switched fabric::Topology
-// (ToR model, shared egress buffer pool, PFC) that the point-to-point
-// Fabric facade cannot express:
+// (ToR model, shared egress buffer pool, PFC) instead of the Testbed's
+// switchless direct-link mesh:
 //
 //   cloud_bankrupt        covert signalling through shared switch queueing
 //                         between two tenants whose flows never share a NIC

@@ -41,12 +41,10 @@ std::uint64_t flow_hash(const rnic::WireOp& op) {
 rnic::NodeId Topology::add_host(rnic::DeviceProfile profile,
                                 sim::Xoshiro256 rng, sim::ShardId shard) {
   const auto id = static_cast<rnic::NodeId>(hosts_.size());
-  sim::Scheduler& sched = engine_ != nullptr ? engine_->shard(shard) : sched_;
-  hosts_.push_back(
-      std::make_unique<rnic::Rnic>(sched, std::move(profile), id, rng));
+  hosts_.push_back(std::make_unique<rnic::Rnic>(
+      engine_.shard(shard), std::move(profile), id, rng));
   hosts_.back()->attach_fabric(this);
-  host_shard_.push_back(engine_ != nullptr ? shard : 0);
-  routes_dirty_ = true;
+  host_shard_.push_back(shard);
   return id;
 }
 
@@ -54,8 +52,7 @@ SwitchId Topology::add_switch(const SwitchSpec& spec, sim::ShardId shard) {
   const auto id = static_cast<SwitchId>(switches_.size());
   switches_.push_back(Switch{});
   switches_.back().spec = spec;
-  switches_.back().shard = engine_ != nullptr ? shard : 0;
-  routes_dirty_ = true;
+  switches_.back().shard = shard;
   return id;
 }
 
@@ -67,9 +64,7 @@ LinkId Topology::link(NodeRef a, NodeRef b, const LinkSpec& spec) {
                  "lat >= 1 ps\n");
     std::abort();
   }
-  if (engine_ != nullptr) {
-    engine_->constrain_lookahead(std::min(spec.lat_ab, spec.lat_ba));
-  }
+  engine_.constrain_lookahead(std::min(spec.lat_ab, spec.lat_ba));
   const auto id = static_cast<LinkId>(links_.size());
   links_.push_back(Link{});
   Link& l = links_.back();
@@ -79,16 +74,8 @@ LinkId Topology::link(NodeRef a, NodeRef b, const LinkSpec& spec) {
   l.ser[0].configure(spec.gbps, 0);
   l.ser[1].configure(spec.gbps, 0);
   link_bytes_.resize_slots(links_.size());
-  if (a.is_host() && b.is_host()) {
-    // Direct links route without tables; register both directions.
-    const auto key_ab = (a.id << 16) | b.id;
-    const auto key_ba = (b.id << 16) | a.id;
-    if (direct_.find(key_ab) == nullptr) direct_[key_ab] = id;
-    if (direct_.find(key_ba) == nullptr) direct_[key_ba] = id;
-  }
   if (!a.is_host()) switches_.at(a.id).ports.push_back(id);
   if (!b.is_host()) switches_.at(b.id).ports.push_back(id);
-  routes_dirty_ = true;
   return id;
 }
 
@@ -123,24 +110,16 @@ void Topology::set_fault_plan(const faults::FaultPlan& plan) {
   // shard execution would make verdict order racy — it forces serial
   // windows.  Per-link streams are consulted only from the shard that owns
   // the hop's transmitting node, so they keep the parallel speedup.
-  if (engine_ != nullptr) {
-    engine_->set_serial_windows(injector_ != nullptr &&
-                                !injector_->plan().per_link_rng);
-  }
+  engine_.set_serial_windows(injector_ != nullptr &&
+                             !injector_->plan().per_link_rng);
 }
 
 void Topology::schedule(NodeRef from, NodeRef to, sim::SimTime t,
                         std::function<void()> cb) {
-  if (windowed()) {
-    engine_->post(shard_of(to), t, node_index(from), std::move(cb));
-  } else {
-    sched_.at(t, std::move(cb));
-  }
+  engine_.post(shard_of(to), t, node_index(from), std::move(cb));
 }
 
-void Topology::ensure_routes() {
-  if (!routes_dirty_) return;
-  routes_dirty_ = false;
+void Topology::compute_routes() {
   const std::size_t n_nodes = hosts_.size() + switches_.size();
   routes_.assign(n_nodes, {});
   for (auto& per_dst : routes_) per_dst.assign(hosts_.size(), {});
@@ -193,49 +172,7 @@ void Topology::transmit(const rnic::InFlightMsg& msg, sim::SimTime depart) {
   // Requests leave the requester's port and travel to the target node;
   // every reply kind leaves the responder and returns to the requester.
   const bool is_req = msg.kind == rnic::InFlightMsg::Kind::kRequest;
-  const rnic::NodeId sender = is_req ? msg.op.src_node : msg.op.dst_node;
-  const rnic::NodeId dst = is_req ? msg.op.dst_node : msg.op.src_node;
-  const LinkId* direct =
-      direct_.find((static_cast<std::uint32_t>(sender) << 16) | dst);
-  if (direct != nullptr) {
-    route_direct(msg, depart, *direct, sender, dst);
-    return;
-  }
-  ensure_routes();
-  hop(msg, NodeRef::host(sender), depart);
-}
-
-void Topology::route_direct(const rnic::InFlightMsg& msg, sim::SimTime depart,
-                            LinkId link_id, rnic::NodeId sender,
-                            rnic::NodeId dst) {
-  const bool is_req = msg.kind == rnic::InFlightMsg::Kind::kRequest;
-  const Link& l = links_[link_id];
-  const bool reverse = !(l.a == NodeRef::host(sender));
-  sim::SimDur extra = 0;
-  if (injector_ != nullptr) {
-    faults::LinkHop fh;
-    fh.link = link_id;
-    fh.reverse = reverse;
-    const faults::Decision d = injector_->decide(fh, msg.op.src_node, depart);
-    if (obs::MetricsRegistry* reg = obs::metrics()) {
-      reg->counter("fabric.verdicts",
-                   obs::LabelSet{{"verdict", verdict_name(d.verdict)}})
-          .add();
-    }
-    if (d.verdict != faults::Verdict::kDeliver) {
-      if (obs::Tracer* tr = obs::tracer()) {
-        tr->instant("faults", verdict_name(d.verdict), depart,
-                    {{"src", std::to_string(sender)},
-                     {"dst", std::to_string(dst)},
-                     {"link", std::to_string(link_id)}});
-      }
-      return;  // lost on the wire
-    }
-    extra = d.extra_delay;
-  }
-  const sim::SimDur wire_lat = reverse ? l.spec.lat_ba : l.spec.lat_ab;
-  deliver(msg, NodeRef::host(sender), dst, is_req, depart,
-          depart + wire_lat + extra);
+  hop(msg, NodeRef::host(is_req ? msg.op.src_node : msg.op.dst_node), depart);
 }
 
 void Topology::deliver(const rnic::InFlightMsg& msg, NodeRef from,
@@ -310,7 +247,9 @@ void Topology::hop(const rnic::InFlightMsg& msg, NodeRef at, sim::SimTime t) {
   sim::SimTime arrive = t_out + prop;
   if (!next.is_host()) arrive += switches_[next.id].spec.forward_lat;
 
-  if (obs::Tracer* tr = obs::tracer()) {
+  // A direct host-host hop is fully described by deliver()'s wire span.
+  obs::Tracer* tr = obs::tracer();
+  if (tr != nullptr && !(at.is_host() && next.is_host())) {
     tr->complete("fabric.link", is_req ? "hop.req" : "hop.resp", t_out, arrive,
                  {{"link", std::to_string(link_id)},
                   {"dst", std::to_string(dst)},
@@ -441,7 +380,7 @@ void Topology::propagate_pause(SwitchId sw_id, sim::SimTime now,
   // keeps the instantaneous direct pokes, byte-identical to the pre-engine
   // fabric.
   const sim::SimTime apply_at =
-      windowed() ? now + engine_->lookahead() : horizon;
+      windowed() ? now + engine_.lookahead() : horizon;
   for (LinkId p : s.ports) {
     Link& l = links_[p];
     const NodeRef upstream = other_end(l, NodeRef::sw(sw_id));
@@ -490,32 +429,14 @@ const SwitchStats& Topology::switch_stats(SwitchId sw) {
   return s.stats;
 }
 
-Topology::Builder& Topology::Builder::point_to_point(
-    const rnic::DeviceProfile& prof_a, sim::Xoshiro256 rng_a,
-    const rnic::DeviceProfile& prof_b, sim::Xoshiro256 rng_b) {
-  const sim::SimDur lat_a = prof_a.wire_lat;
-  const sim::SimDur lat_b = prof_b.wire_lat;
-  const rnic::NodeId a = topo_->add_host(prof_a, rng_a);
-  const rnic::NodeId b = topo_->add_host(prof_b, rng_b);
-  LinkSpec spec;
-  spec.lat_ab = lat_a;  // requests stamped with the requester's latency
-  spec.lat_ba = lat_b;
-  topo_->link(NodeRef::host(a), NodeRef::host(b), spec);
-  return *this;
-}
-
 std::unique_ptr<Topology> Topology::Builder::build() {
-  topo_->ensure_routes();
+  topo_->compute_routes();
   // Fail loudly on a partitioned graph: every host must reach every other
-  // host either directly or through the switch fabric.
+  // host, directly or through the switch fabric.
   for (rnic::NodeId src = 0; src < topo_->host_count(); ++src) {
     for (rnic::NodeId dst = 0; dst < topo_->host_count(); ++dst) {
       if (src == dst) continue;
-      const bool direct =
-          topo_->direct_.find((static_cast<std::uint32_t>(src) << 16) |
-                              dst) != nullptr;
-      if (!direct &&
-          topo_->routes_[topo_->node_index(NodeRef::host(src))][dst]
+      if (topo_->routes_[topo_->node_index(NodeRef::host(src))][dst]
               .empty()) {
         std::fprintf(stderr,
                      "fabric::Topology::Builder: host %u cannot reach host "

@@ -9,7 +9,6 @@
 #include "rnic/device_profile.hpp"
 #include "rnic/rnic.hpp"
 #include "sim/engine.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
@@ -38,28 +37,25 @@
 //     in-flight arrivals landing during pause) tail-drops the message.
 //
 // Routing tables are next-hop vectors computed by BFS per destination host
-// when the topology is finalized; hosts never forward.  All queueing is
-// latency arithmetic over FIFO serializers consulted in event-time order,
-// so a given (topology, seed) always replays the identical event sequence.
+// when Builder::build() finalizes the topology; hosts never forward, and a
+// direct host-host link is simply a one-hop route.  All queueing is latency
+// arithmetic over FIFO serializers consulted in event-time order, so a
+// given (topology, seed) always replays the identical event sequence.
 //
 // An armed faults::FaultPlan is consulted once per *link traversal* —
 // campaigns key on LinkId and can target a single uplink of a multi-hop
 // path (see faults.hpp).  With no plan armed no injector exists and no RNG
 // is drawn.
 //
-// Built on a sim::Engine (docs/ENGINE.md), a topology becomes shard-aware:
-// hosts and switches are pinned to shards at add time, and in windowed mode
-// every cross-node event — hop arrivals, deliveries, PFC pause application —
-// flows through Engine::post, keyed by the generating node so same-time
-// deliveries order identically for any shard layout.  Link propagation
-// latencies bound the engine's lookahead; windowed mode therefore rejects
-// zero-latency links.  On a plain Scheduler (or a legacy-mode engine)
-// nothing changes: events are scheduled directly and runs stay
-// byte-identical to the pre-engine fabric.
-//
-// The legacy two-host/one-link fabric survives as the `Fabric` facade
-// (fabric.hpp): a Topology of pairwise direct host links whose delivery
-// path is byte-identical to the pre-topology point-to-point fabric.
+// A topology always runs on a sim::Engine (docs/ENGINE.md).  Hosts and
+// switches are pinned to shards at add time, and every cross-node event —
+// hop arrivals, deliveries, PFC pause application — flows through
+// Engine::post, keyed by the generating node so same-time deliveries order
+// identically for any shard layout.  Link propagation latencies bound the
+// engine's lookahead; windowed mode therefore rejects zero-latency links.
+// A legacy-mode engine posts straight into its single queue, so runs stay
+// byte-identical to the pre-engine fabric.  revng::Testbed's paper fabric
+// is a full mesh of direct host-host links built the same way.
 namespace ragnar::fabric {
 
 using LinkId = faults::LinkId;
@@ -80,9 +76,8 @@ struct NodeRef {
   friend bool operator==(const NodeRef&, const NodeRef&) = default;
 };
 
-// One link between two nodes.  Propagation is directional so the legacy
-// facade can keep its per-sender wire latency (requests stamped with the
-// requester's latency, replies with the responder's).
+// One link between two nodes.  Propagation is given per direction, so a
+// link may be asymmetric.
 struct LinkSpec {
   sim::SimDur lat_ab = 0;  // propagation a -> b
   sim::SimDur lat_ba = 0;  // propagation b -> a
@@ -118,39 +113,16 @@ class Topology : public rnic::FabricPort {
  public:
   class Builder;
 
-  explicit Topology(sim::Scheduler& sched) : sched_(sched) {}
-  // Engine-backed topology: nodes schedule on their shard's queue, and in
-  // windowed mode cross-node events route through the engine's mailboxes.
-  explicit Topology(sim::Engine& engine)
-      : sched_(engine.legacy_scheduler()), engine_(&engine) {
-    link_bytes_.reset(engine.shard_count(), 0);
-  }
   Topology(const Topology&) = delete;
   Topology& operator=(const Topology&) = delete;
 
   // rnic::FabricPort: a device puts a message on the wire at `depart`.
   void transmit(const rnic::InFlightMsg& msg, sim::SimTime depart) override;
 
-  // --- construction (Builder and the Fabric facade call these) -----------
-  // Create an RNIC attached to this topology, pinned to `shard` (ignored
-  // without an engine).  The topology owns the device; the returned id
-  // indexes host().
-  rnic::NodeId add_host(rnic::DeviceProfile profile, sim::Xoshiro256 rng,
-                        sim::ShardId shard = 0);
-  SwitchId add_switch(const SwitchSpec& spec, sim::ShardId shard = 0);
-  // Connect two nodes.  Host endpoints may be linked to at most one switch
-  // each (plus any number of direct host-host links); switch pairs may be
-  // linked in parallel for ECMP.  In windowed mode both propagation
-  // latencies must be nonzero (they bound the engine's lookahead).
-  LinkId link(NodeRef a, NodeRef b, const LinkSpec& spec);
-
   rnic::Rnic* host(rnic::NodeId id) { return hosts_.at(id).get(); }
   std::size_t host_count() const { return hosts_.size(); }
   std::size_t switch_count() const { return switches_.size(); }
   std::size_t link_count() const { return links_.size(); }
-  // Shard 0's scheduler; per-node code should prefer Rnic::scheduler().
-  sim::Scheduler& scheduler() { return sched_; }
-  sim::Engine* engine() { return engine_; }
 
   // First link connecting a and b (either orientation); kNoLink if none.
   LinkId link_between(NodeRef a, NodeRef b) const;
@@ -177,6 +149,25 @@ class Topology : public rnic::FabricPort {
   const SwitchStats& switch_stats(SwitchId s);
 
  private:
+  // --- construction (Builder calls these) ----------------------------------
+  // Nodes schedule on their shard's queue, and in windowed mode cross-node
+  // events route through the engine's mailboxes.
+  explicit Topology(sim::Engine& engine) : engine_(engine) {
+    link_bytes_.reset(engine.shard_count(), 0);
+  }
+  // Create an RNIC attached to this topology, pinned to `shard`.  The
+  // topology owns the device; the returned id indexes host().
+  rnic::NodeId add_host(rnic::DeviceProfile profile, sim::Xoshiro256 rng,
+                        sim::ShardId shard);
+  SwitchId add_switch(const SwitchSpec& spec, sim::ShardId shard);
+  // Connect two nodes.  Host endpoints may be linked to at most one switch
+  // each (plus any number of direct host-host links); switch pairs may be
+  // linked in parallel for ECMP.  In windowed mode both propagation
+  // latencies must be nonzero (they bound the engine's lookahead).
+  LinkId link(NodeRef a, NodeRef b, const LinkSpec& spec);
+  // Fill routes_ once the graph is complete (Builder::build()).
+  void compute_routes();
+
   struct Link {
     NodeRef a;
     NodeRef b;
@@ -202,13 +193,8 @@ class Topology : public rnic::FabricPort {
     std::vector<LinkId> ports;
   };
 
-  // Legacy point-to-point delivery over a direct host-host link: exactly
-  // one scheduled event, no queueing — byte-identical to the pre-topology
-  // fabric.
-  void route_direct(const rnic::InFlightMsg& msg, sim::SimTime depart,
-                    LinkId link, rnic::NodeId sender, rnic::NodeId dst);
-  // One hop of a switched path: fault verdict, egress queueing when `at`
-  // is a switch, then the next arrival event.
+  // One hop of a route: fault verdict, egress queueing when `at` is a
+  // switch, then the next arrival event.
   void hop(const rnic::InFlightMsg& msg, NodeRef at, sim::SimTime t);
   // Returns the serialization-complete time, or kDropped on pool overflow.
   static constexpr sim::SimTime kDropped = ~sim::SimTime{0};
@@ -231,11 +217,10 @@ class Topology : public rnic::FabricPort {
   NodeRef other_end(const Link& l, NodeRef from) const {
     return l.a == from ? l.b : l.a;
   }
-  void ensure_routes();
 
   // --- engine plumbing ----------------------------------------------------
   // True when cross-node events must flow through Engine::post.
-  bool windowed() const { return engine_ != nullptr && engine_->windowed(); }
+  bool windowed() const { return engine_.windowed(); }
   sim::ShardId shard_of(NodeRef n) const {
     return n.is_host() ? host_shard_[n.id] : switches_[n.id].shard;
   }
@@ -246,18 +231,16 @@ class Topology : public rnic::FabricPort {
                 std::function<void()> cb);
   // The clock a node's lazily-drained state should be refreshed against.
   sim::SimTime node_now(NodeRef n) const {
-    return engine_ != nullptr ? engine_->shard(shard_of(n)).now()
-                              : sched_.now();
+    return engine_.shard(shard_of(n)).now();
   }
   // The per-shard accounting row for the currently executing shard.
   std::uint32_t stats_shard() const {
     if (!windowed()) return 0;
-    const sim::ShardId s = engine_->current_shard();
+    const sim::ShardId s = engine_.current_shard();
     return s == sim::kNoShard ? 0 : s;
   }
 
-  sim::Scheduler& sched_;
-  sim::Engine* engine_ = nullptr;
+  sim::Engine& engine_;
   std::vector<std::unique_ptr<rnic::Rnic>> hosts_;
   std::vector<sim::ShardId> host_shard_;
   std::vector<Switch> switches_;
@@ -265,17 +248,14 @@ class Topology : public rnic::FabricPort {
   // Per link, both directions.  Shard-private rows (a link's two endpoints
   // may execute on different shards); fold with link_bytes().
   sim::PerShardSlots<std::uint64_t> link_bytes_;
-  // Direct host-host links: (src << 16 | dst) -> LinkId fast path.
-  sim::FlatMap<std::uint32_t, LinkId> direct_;
   // routes_[node_index][dst_host] = equal-cost next-hop links, LinkId order.
   std::vector<std::vector<std::vector<LinkId>>> routes_;
-  bool routes_dirty_ = false;
   std::unique_ptr<faults::FaultInjector> injector_;
 };
 
 // Fluent construction: name the hosts and switches, wire them, build.
 //
-//   Topology::Builder b(sched);
+//   Topology::Builder b(engine);
 //   auto h0 = b.add_host(profile, rng.fork());
 //   auto h1 = b.add_host(profile, rng.fork());
 //   auto tor = b.add_switch({.name = "tor0"});
@@ -288,10 +268,7 @@ class Topology : public rnic::FabricPort {
 // should fail loudly, not silently blackhole).
 class Topology::Builder {
  public:
-  explicit Builder(sim::Scheduler& sched)
-      : topo_(std::make_unique<Topology>(sched)) {}
-  explicit Builder(sim::Engine& engine)
-      : topo_(std::make_unique<Topology>(engine)) {}
+  explicit Builder(sim::Engine& engine) : topo_(new Topology(engine)) {}
 
   rnic::NodeId add_host(rnic::DeviceProfile profile, sim::Xoshiro256 rng,
                         sim::ShardId shard = 0) {
@@ -308,14 +285,6 @@ class Topology::Builder {
     topo_->link(a, b, spec);
     return *this;
   }
-
-  // The legacy two-node fabric (what `Fabric f; f.add_device() x2` built
-  // before the topology existed) as a single Builder call: two hosts joined
-  // by one direct link carrying each sender's profile wire latency.
-  Builder& point_to_point(const rnic::DeviceProfile& prof_a,
-                          sim::Xoshiro256 rng_a,
-                          const rnic::DeviceProfile& prof_b,
-                          sim::Xoshiro256 rng_b);
 
   std::unique_ptr<Topology> build();
 

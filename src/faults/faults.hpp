@@ -14,8 +14,8 @@
 // in order.  Real RoCE fabrics are not — the paper's channels run on
 // hardware whose 4-8% raw error rates (Table V) come from retransmission,
 // RNR backoff, and ambient bursts.  A FaultPlan describes a *seeded,
-// reproducible* noise process the Fabric consults on every delivery
-// (requests and replies alike):
+// reproducible* noise process the fabric::Topology consults on every link
+// traversal (requests and replies alike):
 //
 //   * independent per-message drop / corrupt / reorder probabilities,
 //     optionally overridden per link (LinkId-keyed);
@@ -35,8 +35,8 @@
 // Determinism contract: the injector draws only from its own
 // xoshiro256++ stream seeded by FaultPlan::seed, so a given (plan, message
 // sequence) always yields the same verdicts regardless of wall clock or
-// thread placement.  With no plan armed the Fabric never consults (or even
-// constructs) an injector, so fault-off runs are byte-identical to the
+// thread placement.  With no plan armed the topology never consults (or
+// even constructs) an injector, so fault-off runs are byte-identical to the
 // pre-fault simulator.
 namespace ragnar::faults {
 
@@ -126,7 +126,7 @@ struct FaultPlan {
                                std::uint64_t seed);
 };
 
-// Aggregate accounting, queryable from the Fabric for harness CSV/JSON
+// Aggregate accounting, queryable from the topology for harness CSV/JSON
 // per-trial columns.
 struct FaultStats {
   std::uint64_t delivered = 0;

@@ -10,13 +10,27 @@ Testbed::Testbed(rnic::DeviceModel model, std::uint64_t seed,
 
 Testbed::Testbed(const rnic::DeviceProfile& profile, std::uint64_t seed,
                  std::size_t clients)
-    : model_(profile.model), rng_(seed), fabric_(engine_) {
-  rnic::Rnic* sdev = fabric_.add_device(profile, rng_.fork());
-  server_ = std::make_unique<verbs::Context>(fabric_, sdev, "server");
+    : model_(profile.model), rng_(seed) {
+  // Host 0 is the server, host i + 1 client i.  Each new host links to
+  // every earlier one, oriented lower id -> higher id, so LinkId 0 joins
+  // hosts (0,1), 1 joins (0,2), 2 joins (1,2), ...  Fault plans and
+  // per-link RNG streams key on LinkId and direction: changing this order
+  // changes every faulted run.
+  fabric::Topology::Builder b(engine_);
+  const auto wire = fabric::LinkSpec::symmetric(profile.wire_lat);
+  for (rnic::NodeId id = 0; id <= clients; ++id) {
+    b.add_host(profile, rng_.fork());
+    for (rnic::NodeId other = 0; other < id; ++other) {
+      b.link(fabric::NodeRef::host(other), fabric::NodeRef::host(id), wire);
+    }
+  }
+  fabric_ = b.build();
+  server_ = std::make_unique<verbs::Context>(*fabric_, fabric_->host(0),
+                                             "server");
   for (std::size_t i = 0; i < clients; ++i) {
-    rnic::Rnic* cdev = fabric_.add_device(profile, rng_.fork());
     clients_.push_back(std::make_unique<verbs::Context>(
-        fabric_, cdev, "client" + std::to_string(i)));
+        *fabric_, fabric_->host(static_cast<rnic::NodeId>(i + 1)),
+        "client" + std::to_string(i)));
   }
 }
 

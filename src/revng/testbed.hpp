@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "fabric/fabric.hpp"
+#include "fabric/topology.hpp"
 #include "rnic/device_profile.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
@@ -14,8 +14,8 @@
 
 // The canonical experiment topology (paper Fig 2): one server hosting
 // in-memory data behind an RNIC, plus N client hosts (victim, attacker, ...)
-// reaching it through the fabric.  All experiments and attacks build on
-// this.
+// reaching it through the fabric — a full mesh of direct host-host links,
+// with no switch.  All experiments and attacks build on this.
 namespace ragnar::revng {
 
 class Testbed {
@@ -36,7 +36,7 @@ class Testbed {
   // that single shard's scheduler.
   sim::Engine& engine() { return engine_; }
   sim::Scheduler& sched() { return engine_.legacy_scheduler(); }
-  fabric::Fabric& fabric() { return fabric_; }
+  fabric::Topology& fabric() { return *fabric_; }
   rnic::DeviceModel model() const { return model_; }
   const rnic::DeviceProfile& profile() const {
     return server_->device().profile();
@@ -77,7 +77,7 @@ class Testbed {
   rnic::DeviceModel model_;
   sim::Xoshiro256 rng_;
   sim::Engine engine_;
-  fabric::Fabric fabric_;
+  std::unique_ptr<fabric::Topology> fabric_;
   std::unique_ptr<verbs::Context> server_;
   std::vector<std::unique_ptr<verbs::Context>> clients_;
 };

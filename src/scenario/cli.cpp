@@ -242,37 +242,4 @@ int run_cli(int argc, char** argv) {
   return run_selected(selected, opt);
 }
 
-int run_compat(const char* scenario_name, int argc, char** argv) {
-  const char* prog = argc > 0 ? argv[0] : scenario_name;
-  const Scenario* s = Registry::instance().find(scenario_name);
-  if (s == nullptr) {
-    std::fprintf(stderr, "%s: error: scenario '%s' is not registered\n", prog,
-                 scenario_name);
-    return 2;
-  }
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    std::string err;
-    if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: %s [--seed N] [--full] [--csv DIR] [--jobs N] "
-                  "[--json F] [--trace F]\n",
-                  prog);
-      return 0;
-    }
-    if (parse_common_flag(argc, argv, &i, &opt, &err)) continue;
-    if (err.empty()) err = std::string("unknown argument '") + argv[i] + "'";
-    std::fprintf(stderr, "%s: error: %s\n", prog, err.c_str());
-    std::fprintf(stderr,
-                 "usage: %s [--seed N] [--full] [--csv DIR] [--jobs N] "
-                 "[--json F] [--trace F]\n",
-                 prog);
-    return 2;
-  }
-  if (!opt.trace_path.empty()) arm_process_trace(opt.trace_path);
-  sim::ConcurrencyBudget::instance().set_total(
-      static_cast<unsigned>(opt.jobs));
-  ScenarioContext ctx(opt);
-  return s->run(ctx);
-}
-
 }  // namespace ragnar::scenario

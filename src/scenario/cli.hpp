@@ -10,9 +10,4 @@ namespace ragnar::scenario {
 // otherwise the max of the scenario return codes).
 int run_cli(int argc, char** argv);
 
-// Back-compat entry point for the thin per-binary wrappers: behaves like the
-// historical `<scenario_name> [--seed N] [--full] [--csv DIR] [--jobs N]
-// [--json F] [--trace F]` bench main.
-int run_compat(const char* scenario_name, int argc, char** argv);
-
 }  // namespace ragnar::scenario

@@ -103,9 +103,6 @@ struct Scenario {
   const char* quick_params; // what the default (reduced) mode sweeps
   const char* full_params;  // what --full scales it to
   int (*run)(ScenarioContext& ctx);
-  // run-all includes every scenario whose output is a paper reproduction;
-  // host-performance microbenches opt out of the byte-stable contract.
-  bool deterministic_output = true;
 };
 
 class Registry {
@@ -142,17 +139,6 @@ struct Registrar {
   static const ::ragnar::scenario::Registrar ragnar_scenario_reg_##ident{    \
       ::ragnar::scenario::Scenario{#ident, tag, desc, quick, full,           \
                                    &ragnar_scenario_run_##ident}};           \
-  static int ragnar_scenario_run_##ident(                                    \
-      [[maybe_unused]] ::ragnar::scenario::ScenarioContext& ctx)
-
-// As above but for scenarios whose stdout is host-timing-dependent (the
-// google-benchmark microbench): still registered and runnable, excluded
-// from the byte-stability contract.
-#define RAGNAR_SCENARIO_NONDET(ident, tag, desc, quick, full)                \
-  static int ragnar_scenario_run_##ident(::ragnar::scenario::ScenarioContext&); \
-  static const ::ragnar::scenario::Registrar ragnar_scenario_reg_##ident{    \
-      ::ragnar::scenario::Scenario{#ident, tag, desc, quick, full,           \
-                                   &ragnar_scenario_run_##ident, false}};    \
   static int ragnar_scenario_run_##ident(                                    \
       [[maybe_unused]] ::ragnar::scenario::ScenarioContext& ctx)
 

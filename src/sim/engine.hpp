@@ -104,7 +104,7 @@ class Engine {
   void post(ShardId to, SimTime t, std::uint64_t origin,
             std::function<void()> cb);
 
-  // Tighten the lookahead (clamped to >= 1 ps).  Fabric construction calls
+  // Tighten the lookahead (clamped to >= 1 ps).  Topology construction calls
   // this with each link's propagation latency; must happen before running.
   void constrain_lookahead(SimDur lat);
   SimDur lookahead() const { return lookahead_; }

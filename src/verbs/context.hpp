@@ -48,8 +48,8 @@ struct QpConfig {
 // rnic::RecvSink: inbound SENDs land in on_inbound_send(), which routes to
 // the destination QP's receive queue.
 //
-// A Context binds to any fabric::Topology — the two-host Fabric facade and
-// multi-switch cloud topologies alike.
+// A Context binds to any fabric::Topology — the Testbed's direct-link mesh
+// and multi-switch cloud topologies alike.
 class Context final : public rnic::RecvSink {
  public:
   Context(fabric::Topology& fabric, rnic::Rnic* device, std::string name);

@@ -6,12 +6,11 @@
 #include <utility>
 #include <vector>
 
-#include "fabric/fabric.hpp"
 #include "fabric/topology.hpp"
 #include "rnic/device_profile.hpp"
 #include "revng/testbed.hpp"
 #include "sim/random.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/engine.hpp"
 #include "verbs/context.hpp"
 
 namespace ragnar::fabric {
@@ -53,7 +52,7 @@ Endpoints wire(Topology& topo, rnic::NodeId a, rnic::NodeId b,
 
 // Post `ops` READs round-robin across the QPs and collect every completion
 // timestamp in arrival order.
-std::vector<sim::SimTime> run_reads(sim::Scheduler& sched, Endpoints& e,
+std::vector<sim::SimTime> run_reads(sim::Engine& engine, Endpoints& e,
                                     std::size_t ops, std::uint32_t bytes) {
   std::vector<sim::SimTime> completions;
   for (std::size_t i = 0; i < ops; ++i) {
@@ -66,7 +65,7 @@ std::vector<sim::SimTime> run_reads(sim::Scheduler& sched, Endpoints& e,
     EXPECT_EQ(e.src_qps[i % e.src_qps.size()]->post_send(wr),
               verbs::PostResult::kOk);
   }
-  sched.run_until_idle();
+  engine.run_until_idle();
   verbs::Wc wc;
   while (e.src_cq->poll_one(&wc)) {
     EXPECT_EQ(wc.status, rnic::WcStatus::kSuccess);
@@ -75,11 +74,11 @@ std::vector<sim::SimTime> run_reads(sim::Scheduler& sched, Endpoints& e,
   return completions;
 }
 
-std::unique_ptr<Topology> one_switch_topology(sim::Scheduler& sched,
+std::unique_ptr<Topology> one_switch_topology(sim::Engine& engine,
                                               std::uint64_t seed) {
   sim::Xoshiro256 rng(seed);
   const rnic::DeviceProfile prof = rnic::make_profile(rnic::DeviceModel::kCX5);
-  Topology::Builder b(sched);
+  Topology::Builder b(engine);
   const auto h0 = b.add_host(prof, rng.fork());
   const auto h1 = b.add_host(prof, rng.fork());
   b.add_switch({});
@@ -90,11 +89,11 @@ std::unique_ptr<Topology> one_switch_topology(sim::Scheduler& sched,
 }
 
 // Two racks, two parallel 25 Gb/s uplinks (the ECMP group).
-std::unique_ptr<Topology> two_switch_ecmp_topology(sim::Scheduler& sched,
+std::unique_ptr<Topology> two_switch_ecmp_topology(sim::Engine& engine,
                                                    std::uint64_t seed) {
   sim::Xoshiro256 rng(seed);
   const rnic::DeviceProfile prof = rnic::make_profile(rnic::DeviceModel::kCX5);
-  Topology::Builder b(sched);
+  Topology::Builder b(engine);
   const auto h0 = b.add_host(prof, rng.fork());
   const auto h1 = b.add_host(prof, rng.fork());
   const auto tor0 = b.add_switch({});
@@ -117,10 +116,10 @@ std::unique_ptr<Topology> two_switch_ecmp_topology(sim::Scheduler& sched,
 TEST(TopologyDeterminism, OneSwitchReplaysIdentically) {
   std::vector<sim::SimTime> runs[2];
   for (auto& out : runs) {
-    sim::Scheduler sched;
-    auto topo = one_switch_topology(sched, 42);
+    sim::Engine engine;
+    auto topo = one_switch_topology(engine, 42);
     Endpoints e = wire(*topo, 0, 1, 4);
-    out = run_reads(sched, e, 64, 4096);
+    out = run_reads(engine, e, 64, 4096);
   }
   ASSERT_EQ(runs[0].size(), 64u);
   EXPECT_EQ(runs[0], runs[1]);
@@ -130,10 +129,10 @@ TEST(TopologyDeterminism, TwoSwitchEcmpReplaysIdentically) {
   std::vector<sim::SimTime> runs[2];
   std::uint64_t uplink_bytes[2][2] = {};
   for (int r = 0; r < 2; ++r) {
-    sim::Scheduler sched;
-    auto topo = two_switch_ecmp_topology(sched, 42);
+    sim::Engine engine;
+    auto topo = two_switch_ecmp_topology(engine, 42);
     Endpoints e = wire(*topo, 0, 1, 8);
-    runs[r] = run_reads(sched, e, 64, 4096);
+    runs[r] = run_reads(engine, e, 64, 4096);
     const std::vector<LinkId> uplinks =
         topo->links_between(NodeRef::sw(0), NodeRef::sw(1));
     ASSERT_EQ(uplinks.size(), 2u);
@@ -147,10 +146,10 @@ TEST(TopologyDeterminism, TwoSwitchEcmpReplaysIdentically) {
 }
 
 TEST(TopologyDeterminism, EcmpSpreadsFlowsAcrossParallelUplinks) {
-  sim::Scheduler sched;
-  auto topo = two_switch_ecmp_topology(sched, 7);
+  sim::Engine engine;
+  auto topo = two_switch_ecmp_topology(engine, 7);
   Endpoints e = wire(*topo, 0, 1, 8);
-  run_reads(sched, e, 64, 4096);
+  run_reads(engine, e, 64, 4096);
   const std::vector<LinkId> uplinks =
       topo->links_between(NodeRef::sw(0), NodeRef::sw(1));
   ASSERT_EQ(uplinks.size(), 2u);
@@ -178,11 +177,11 @@ rnic::InFlightMsg synthetic_write(std::uint32_t bytes) {
   return msg;
 }
 
-std::unique_ptr<Topology> pool_test_topology(sim::Scheduler& sched,
+std::unique_ptr<Topology> pool_test_topology(sim::Engine& engine,
                                              const SwitchSpec& spec) {
   sim::Xoshiro256 rng(3);
   const rnic::DeviceProfile prof = rnic::make_profile(rnic::DeviceModel::kCX5);
-  Topology::Builder b(sched);
+  Topology::Builder b(engine);
   const auto h0 = b.add_host(prof, rng.fork());
   const auto h1 = b.add_host(prof, rng.fork());
   b.add_switch(spec);
@@ -199,31 +198,31 @@ TEST(SwitchPool, PauseAssertsExactlyAtXoffAndReleasesOnDrain) {
   spec.buffer_bytes = 100000;
   spec.pfc_xoff_bytes = 5000;
   spec.pfc_xon_bytes = 2000;
-  sim::Scheduler sched;
-  auto topo = pool_test_topology(sched, spec);
+  sim::Engine engine;
+  auto topo = pool_test_topology(engine, spec);
 
   // Four 1000 B messages: pool at 4000 < xoff — no pause.
   for (int i = 0; i < 4; ++i) topo->transmit(synthetic_write(1000), 0);
-  sched.run_until(sim::ns(600));
+  engine.run_until(sim::ns(600));
   EXPECT_EQ(topo->buffer_occupancy(0), 4000u);
   EXPECT_FALSE(topo->pause_asserted(0));
   EXPECT_EQ(topo->switch_stats(0).pause_events, 0u);
 
   // The fifth crossing 5000 >= xoff must assert pause on that enqueue.
   topo->transmit(synthetic_write(1000), sim::ns(100));
-  sched.run_until(sim::ns(700));
+  engine.run_until(sim::ns(700));
   EXPECT_EQ(topo->buffer_occupancy(0), 5000u);
   EXPECT_TRUE(topo->pause_asserted(0));
   EXPECT_EQ(topo->switch_stats(0).pause_events, 1u);
 
   // Pause holds until the pool drains below xon (three messages out at
   // 8 us each), then releases; eventually the pool is empty.
-  sched.run_until(sim::us(20));
+  engine.run_until(sim::us(20));
   EXPECT_TRUE(topo->pause_asserted(0));
-  sched.run_until(sim::us(35));
+  engine.run_until(sim::us(35));
   EXPECT_FALSE(topo->pause_asserted(0));
   EXPECT_GT(topo->switch_stats(0).paused_total, 0);
-  sched.run_until(sim::us(60));
+  engine.run_until(sim::us(60));
   EXPECT_EQ(topo->buffer_occupancy(0), 0u);
   EXPECT_EQ(topo->switch_stats(0).peak_buffer_bytes, 5000u);
 }
@@ -232,11 +231,11 @@ TEST(SwitchPool, OverflowTailDropsWhenPfcDisabled) {
   SwitchSpec spec;
   spec.buffer_bytes = 3000;
   spec.pfc_xoff_bytes = 0;  // PFC off: tail-drop only
-  sim::Scheduler sched;
-  auto topo = pool_test_topology(sched, spec);
+  sim::Engine engine;
+  auto topo = pool_test_topology(engine, spec);
 
   for (int i = 0; i < 5; ++i) topo->transmit(synthetic_write(1000), 0);
-  sched.run_until(sim::ns(600));
+  engine.run_until(sim::ns(600));
   EXPECT_EQ(topo->buffer_occupancy(0), 3000u);
   EXPECT_EQ(topo->switch_stats(0).drops, 2u);
   EXPECT_EQ(topo->switch_stats(0).pause_events, 0u);
@@ -244,49 +243,13 @@ TEST(SwitchPool, OverflowTailDropsWhenPfcDisabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Facade equivalence
+// The Testbed mesh: direct host-host links
 // ---------------------------------------------------------------------------
 
-// The Fabric facade and an explicitly-built point_to_point topology must
-// replay the identical completion sequence: both are the same direct-link
-// delivery path, constructed through the two public APIs.
-TEST(FacadeEquivalence, FabricMatchesBuilderPointToPoint) {
-  std::vector<sim::SimTime> facade_times;
-  {
-    sim::Scheduler sched;
-    sim::Xoshiro256 rng(2024);
-    const rnic::DeviceProfile prof =
-        rnic::make_profile(rnic::DeviceModel::kCX5);
-    Fabric fabric(sched);
-    fabric.add_device(prof, rng.fork());
-    fabric.add_device(prof, rng.fork());
-    Endpoints e = wire(fabric, 1, 0, 2);
-    facade_times = run_reads(sched, e, 32, 2048);
-  }
-  std::vector<sim::SimTime> builder_times;
-  {
-    sim::Scheduler sched;
-    sim::Xoshiro256 rng(2024);
-    const rnic::DeviceProfile prof =
-        rnic::make_profile(rnic::DeviceModel::kCX5);
-    Topology::Builder b(sched);
-    // Fork order must match the facade's add_device sequence (function
-    // arguments evaluate in unspecified order).
-    sim::Xoshiro256 rng_a = rng.fork();
-    sim::Xoshiro256 rng_b = rng.fork();
-    b.point_to_point(prof, rng_a, prof, rng_b);
-    auto topo = b.build();
-    Endpoints e = wire(*topo, 1, 0, 2);
-    builder_times = run_reads(sched, e, 32, 2048);
-  }
-  ASSERT_EQ(facade_times.size(), 32u);
-  EXPECT_EQ(facade_times, builder_times);
-}
-
-// Pinned timestamps from the pre-topology point-to-point fabric: the facade
-// must keep replaying the legacy event sequence bit-for-bit.  (These values
-// were captured from the seed implementation, whose scenario goldens the
-// facade reproduces byte-identically.)
+// Pinned timestamps from the pre-topology point-to-point fabric: a direct
+// link must keep replaying the legacy event sequence bit-for-bit.  (These
+// values were captured from the seed implementation, whose scenario goldens
+// the Testbed reproduces byte-identically.)
 TEST(FacadeEquivalence, LegacyGoldenTimestampsStillHold) {
   revng::Testbed bed(rnic::DeviceModel::kCX5, /*seed=*/7, /*clients=*/1);
   auto conn = bed.connect(0, /*qp_count=*/1, /*max_send_wr=*/16, /*tc=*/0);
@@ -310,18 +273,18 @@ TEST(FacadeEquivalence, LegacyGoldenTimestampsStillHold) {
   EXPECT_EQ(completions, golden);
 }
 
-// Direct host-host links never consult switch machinery; the facade keeps
-// the legacy surface area.
-TEST(FacadeEquivalence, FacadeShapeIsPairwiseDirect) {
-  sim::Scheduler sched;
-  sim::Xoshiro256 rng(1);
-  Fabric fabric(sched);
-  for (int i = 0; i < 3; ++i)
-    fabric.add_device(rnic::DeviceModel::kCX5, rng.fork());
-  EXPECT_EQ(fabric.size(), 3u);
-  EXPECT_EQ(fabric.switch_count(), 0u);
-  EXPECT_EQ(fabric.link_count(), 3u);  // full mesh over 3 hosts
-  EXPECT_NE(fabric.link_between(NodeRef::host(0), NodeRef::host(2)), kNoLink);
+// The Testbed wires server + clients as a switchless full mesh, each new
+// host linked to every earlier one.  Fault plans and per-link RNG streams
+// key on these LinkIds, so the order is pinned.
+TEST(TestbedMesh, ShapeIsPairwiseDirectInHostOrder) {
+  revng::Testbed bed(rnic::DeviceModel::kCX5, /*seed=*/1, /*clients=*/2);
+  Topology& topo = bed.fabric();
+  EXPECT_EQ(topo.host_count(), 3u);
+  EXPECT_EQ(topo.switch_count(), 0u);
+  EXPECT_EQ(topo.link_count(), 3u);
+  EXPECT_EQ(topo.link_between(NodeRef::host(0), NodeRef::host(1)), 0u);
+  EXPECT_EQ(topo.link_between(NodeRef::host(0), NodeRef::host(2)), 1u);
+  EXPECT_EQ(topo.link_between(NodeRef::host(1), NodeRef::host(2)), 2u);
 }
 
 }  // namespace

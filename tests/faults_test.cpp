@@ -458,13 +458,16 @@ TEST(FaultInjectorPerLink, VerdictsDependOnlyOnPerLinkOrder) {
 
 namespace shard_invariance {
 
-// Two racks, one 25G uplink, a faulted fabric, and an open-loop burst of
-// reliable WRITEs from each rack-0 host to its rack-1 peer.  Returns
-// everything observable: completion records, fault stats, and whether the
-// engine was forced into serial windows.
+// Two racks, one 25G uplink, a direct h1-h3 link, a faulted fabric, and an
+// open-loop burst of reliable WRITEs from each rack-0 host to its rack-1
+// peer: h0 -> h2 crosses both switches, h1 -> h3 crosses shards on the
+// direct link without touching a switch.  Returns everything observable:
+// completion records, fault stats, bytes on the direct link, and whether
+// the engine was forced into serial windows.
 struct FabricRun {
   std::vector<std::tuple<std::uint64_t, int, sim::SimTime>> completions;
   faults::FaultStats stats;
+  std::uint64_t direct_bytes = 0;
   bool serial = false;
 };
 
@@ -491,7 +494,9 @@ FabricRun run_faulted_fabric(std::size_t shards, bool per_link) {
       .link(fabric::NodeRef::host(h2), fabric::NodeRef::sw(tor1), access)
       .link(fabric::NodeRef::host(h3), fabric::NodeRef::sw(tor1), access)
       .link(fabric::NodeRef::sw(tor0), fabric::NodeRef::sw(tor1),
-            fabric::LinkSpec::symmetric(sim::ns(500), 25.0));
+            fabric::LinkSpec::symmetric(sim::ns(500), 25.0))
+      .link(fabric::NodeRef::host(h1), fabric::NodeRef::host(h3),
+            fabric::LinkSpec::symmetric(sim::ns(750)));
   auto topo = b.build();
 
   FaultPlan plan = FaultPlan::bursty_loss(0.05, sim::us(20), 5);
@@ -556,6 +561,8 @@ FabricRun run_faulted_fabric(std::size_t shards, bool per_link) {
     }
   }
   out.stats = topo->fault_stats();
+  out.direct_bytes = topo->link_bytes(
+      topo->link_between(fabric::NodeRef::host(h1), fabric::NodeRef::host(h3)));
   return out;
 }
 
@@ -570,6 +577,7 @@ TEST(FaultInjectorPerLink, ArmedPlanIsShardCountInvariant) {
   EXPECT_FALSE(one.serial);
   EXPECT_GT(one.stats.total_lost(), 0u) << "plan never fired";
   EXPECT_FALSE(one.completions.empty());
+  EXPECT_GT(one.direct_bytes, 0u) << "h1 -> h3 bypassed the direct link";
   for (std::size_t shards : {2u, 3u}) {
     const auto many = run_faulted_fabric(shards, true);
     EXPECT_FALSE(many.serial);
@@ -581,6 +589,7 @@ TEST(FaultInjectorPerLink, ArmedPlanIsShardCountInvariant) {
     EXPECT_EQ(one.stats.reordered, many.stats.reordered) << shards;
     EXPECT_EQ(one.stats.ge_steps, many.stats.ge_steps) << shards;
     EXPECT_EQ(one.stats.ge_bad_steps, many.stats.ge_bad_steps) << shards;
+    EXPECT_EQ(one.direct_bytes, many.direct_bytes) << shards;
   }
 }
 

@@ -55,7 +55,6 @@ const char* const kFormerBinaries[] = {
     "covert_transfer_degraded",
     "defense_closed_loop",
     "defense_online",
-    "sim_microbench",
 };
 
 TEST(Registry, EveryFormerBinaryIsRegistered) {
@@ -79,14 +78,6 @@ TEST(Registry, AllIsSortedByName) {
                              }));
 }
 
-TEST(Registry, OnlySimMicrobenchIsNondeterministic) {
-  for (const Scenario* s : Registry::instance().all()) {
-    EXPECT_EQ(s->deterministic_output,
-              std::string(s->name) != "sim_microbench")
-        << s->name;
-  }
-}
-
 TEST(Cli, ListShowsEveryScenario) {
   testing::internal::CaptureStdout();
   const int rc = cli({"list"});
@@ -95,7 +86,7 @@ TEST(Cli, ListShowsEveryScenario) {
   for (const char* name : kFormerBinaries) {
     EXPECT_NE(out.find(name), std::string::npos) << name;
   }
-  EXPECT_NE(out.find("(31 scenarios)"), std::string::npos);
+  EXPECT_NE(out.find("(30 scenarios)"), std::string::npos);
 }
 
 TEST(Cli, UnknownScenarioFailsNonZeroAndListsNames) {
