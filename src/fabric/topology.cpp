@@ -115,7 +115,7 @@ void Topology::set_fault_plan(const faults::FaultPlan& plan) {
 }
 
 void Topology::schedule(NodeRef from, NodeRef to, sim::SimTime t,
-                        std::function<void()> cb) {
+                        sim::Callback&& cb) {
   engine_.post(shard_of(to), t, node_index(from), std::move(cb));
 }
 

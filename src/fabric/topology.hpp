@@ -227,8 +227,7 @@ class Topology : public rnic::FabricPort {
   // Schedule `cb` at `t` on `to`'s shard.  `from` is the generating node:
   // its topology index keys same-time mailbox ordering, which must not
   // depend on the shard layout.
-  void schedule(NodeRef from, NodeRef to, sim::SimTime t,
-                std::function<void()> cb);
+  void schedule(NodeRef from, NodeRef to, sim::SimTime t, sim::Callback&& cb);
   // The clock a node's lazily-drained state should be refreshed against.
   sim::SimTime node_now(NodeRef n) const {
     return engine_.shard(shard_of(n)).now();

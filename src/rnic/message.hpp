@@ -6,6 +6,7 @@
 
 #include "rnic/counters.hpp"
 #include "rnic/op.hpp"
+#include "sim/callback.hpp"
 #include "sim/time.hpp"
 
 // Message and accounting types shared between the Rnic orchestrator, the
@@ -41,6 +42,14 @@ struct InFlightMsg {
   std::uint64_t wire_bytes = 0;  // total bytes incl. headers, all packets
   std::uint32_t wire_pkts = 1;
 };
+
+// Fabric hops, deliveries and the rnic response stages schedule lambdas
+// that carry a message plus up to three words.  Keep those inside the event
+// record's inline buffer: a message that outgrows it would send every such
+// event back to the heap allocator.
+static_assert(sizeof(InFlightMsg) + 3 * sizeof(std::uint64_t) <=
+                  sim::Callback::kInlineBytes,
+              "InFlightMsg outgrew sim::Callback's inline buffer");
 
 // Per-source-node (per-tenant) accounting window — the observables a
 // HARMONIC-class defense (Grain-I/II/III counters) gets to see.

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 
 #include "rnic/control.hpp"
@@ -155,7 +154,7 @@ class Rnic {
   void finish_read_response(InFlightMsg reply);
   void finish_ack(InFlightMsg reply);
   void finish_atomic_response(InFlightMsg reply);
-  void defer(sim::SimTime t, std::function<void()> fn) {
+  void defer(sim::SimTime t, sim::Callback&& fn) {
     if (t <= sched_.now()) {
       fn();
     } else {

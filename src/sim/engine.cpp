@@ -54,8 +54,7 @@ void Engine::spawn(Task actor, ShardId s) {
   shards_[s]->sched.spawn(std::move(actor));
 }
 
-void Engine::post(ShardId to, SimTime t, std::uint64_t origin,
-                  std::function<void()> cb) {
+void Engine::post(ShardId to, SimTime t, std::uint64_t origin, Callback&& cb) {
   ShardState* cur = t_exec.state;
   if (!windowed_ || cur == nullptr) {
     // Legacy mode, or coordinator code running between windows: schedule
@@ -142,24 +141,31 @@ void Engine::run_windows(SimTime bound, bool bounded,
 void Engine::drain_all_mail() {
   const std::uint32_t n = shard_count();
   for (std::uint32_t dest = 0; dest < n; ++dest) {
-    drain_scratch_.clear();
-    for (auto& src : shards_) {
-      auto& row = src->out.row(dest);
-      for (MailSlot& slot : row) drain_scratch_.push_back(std::move(slot));
-      row.clear();
+    mail_keys_.clear();
+    for (std::uint32_t src = 0; src < n; ++src) {
+      const std::vector<MailSlot>& row = shards_[src]->out.row(dest);
+      for (std::uint32_t i = 0; i < row.size(); ++i) {
+        mail_keys_.push_back(MailKey{row[i].at, row[i].origin, src, i});
+      }
     }
-    std::stable_sort(drain_scratch_.begin(), drain_scratch_.end(),
-                     [](const MailSlot& a, const MailSlot& b) {
-                       if (a.at != b.at) return a.at < b.at;
-                       return a.origin < b.origin;
-                     });
-    mail_delivered_ += drain_scratch_.size();
+    // (source shard, push index) completes the key, so this unstable sort
+    // yields exactly the stable (at, origin) order of the rows concatenated
+    // in source-shard order (mailbox.hpp).
+    std::sort(mail_keys_.begin(), mail_keys_.end(),
+              [](const MailKey& a, const MailKey& b) {
+                if (a.at != b.at) return a.at < b.at;
+                if (a.origin != b.origin) return a.origin < b.origin;
+                if (a.src != b.src) return a.src < b.src;
+                return a.idx < b.idx;
+              });
+    mail_delivered_ += mail_keys_.size();
     Scheduler& sched = shards_[dest]->sched;
-    for (MailSlot& slot : drain_scratch_) {
-      sched.at(slot.at, std::move(slot.cb));
+    for (const MailKey& k : mail_keys_) {
+      sched.at(k.at, std::move(shards_[k.src]->out.row(dest)[k.idx].cb));
     }
+    for (auto& src : shards_) src->out.row(dest).clear();
   }
-  drain_scratch_.clear();
+  mail_keys_.clear();
 }
 
 bool Engine::earliest_event(SimTime* t) const {

@@ -101,8 +101,7 @@ class Engine {
   // mean a model path bypassed the fabric's latency floor).  `origin` is
   // the shard-independent key of the generating node; it decides same-time
   // delivery order, so it must not depend on the shard layout.
-  void post(ShardId to, SimTime t, std::uint64_t origin,
-            std::function<void()> cb);
+  void post(ShardId to, SimTime t, std::uint64_t origin, Callback&& cb);
 
   // Tighten the lookahead (clamped to >= 1 ps).  Topology construction calls
   // this with each link's propagation latency; must happen before running.
@@ -164,7 +163,14 @@ class Engine {
   bool serial_windows_ = false;
   SimDur lookahead_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  std::vector<MailSlot> drain_scratch_;
+  // drain_all_mail's sort keys: (at, origin, source shard, push index).
+  struct MailKey {
+    SimTime at;
+    std::uint64_t origin;
+    std::uint32_t src;
+    std::uint32_t idx;
+  };
+  std::vector<MailKey> mail_keys_;
   std::uint64_t windows_ = 0;
   std::uint64_t mail_delivered_ = 0;
   // Inclusive end of the window being executed; post() validates against it.

@@ -5,23 +5,33 @@
 
 namespace ragnar::sim {
 
-void EventQueue::push(SimTime at, Callback cb) {
-  heap_.push_back(Entry{at, next_seq_++, std::move(cb)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+void EventQueue::push(SimTime at, Callback&& cb) {
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(cb));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = std::move(cb);
+  }
+  keys_.push_back(Key{at, next_seq_++, slot});
+  std::push_heap(keys_.begin(), keys_.end(), Later{});
 }
 
-SimTime EventQueue::next_time() const { return heap_.front().at; }
-
-EventQueue::Callback EventQueue::pop(SimTime* at) {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry e = std::move(heap_.back());
-  heap_.pop_back();
-  if (at != nullptr) *at = e.at;
-  return std::move(e.cb);
+Callback EventQueue::pop(SimTime* at) {
+  std::pop_heap(keys_.begin(), keys_.end(), Later{});
+  const Key k = keys_.back();
+  keys_.pop_back();
+  if (at != nullptr) *at = k.at;
+  free_.push_back(k.slot);
+  return std::move(slots_[k.slot]);
 }
 
 void EventQueue::clear() {
-  heap_.clear();
+  keys_.clear();
+  slots_.clear();
+  free_.clear();
   // Reset the FIFO tie-break counter too: a cleared queue must behave like a
   // freshly constructed one, or post-clear runs order same-time events
   // differently from a fresh simulation.

@@ -1,10 +1,10 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/time.hpp"
 
 // Cross-shard mail for the windowed engine (docs/ENGINE.md §3).
@@ -19,20 +19,21 @@
 //
 // Determinism does not come from the drain *visit* order but from an
 // explicit shard-independent sort key.  Every slot carries the origin key
-// of the node that generated it (plus its push position within that
-// origin, implicit in vector order); the drain concatenates all source
-// rows for a destination and stable-sorts by (time, origin).  Because an
-// origin node lives on exactly one shard, the stable sort yields one total
-// order that is a pure function of the event content — the same order
-// whether the topology ran on 1 shard or 16.  See docs/ENGINE.md for why
-// push order alone (the naive per-pair FIFO) is *not* shard-count
+// of the node that generated it; Engine::drain_all_mail sorts one
+// (time, origin, source shard, push index) key per slot and moves each
+// callback, in key order, straight from its row into the destination
+// queue.  An origin node lives on exactly one shard, so slots that tie on
+// (time, origin) share a source row and keep their push order: the key
+// order is one total order that is a pure function of the event content —
+// the same whether the topology ran on 1 shard or 16.  See docs/ENGINE.md
+// for why push order alone (the naive per-pair FIFO) is *not* shard-count
 // invariant when two events tie on the timestamp.
 namespace ragnar::sim {
 
 struct MailSlot {
   SimTime at = 0;
   std::uint64_t origin = 0;  // shard-independent generator key (node id)
-  std::function<void()> cb;
+  Callback cb;
 };
 
 // One shard's outgoing mail: row per destination shard.
@@ -44,8 +45,8 @@ class Outbox {
   }
 
   void push(std::uint32_t dest, SimTime at, std::uint64_t origin,
-            std::function<void()> cb) {
-    rows_[dest].push_back(MailSlot{at, origin, std::move(cb)});
+            Callback&& cb) {
+    rows_[dest].emplace_back(at, origin, std::move(cb));
   }
 
   std::vector<MailSlot>& row(std::uint32_t dest) { return rows_[dest]; }
@@ -53,34 +54,8 @@ class Outbox {
     return rows_[dest];
   }
 
-  bool empty() const {
-    for (const auto& r : rows_) {
-      if (!r.empty()) return false;
-    }
-    return true;
-  }
-
  private:
   std::vector<std::vector<MailSlot>> rows_;
 };
-
-// Collect every source's row for destination `dest` into `scratch` in the
-// canonical order: concatenate by source shard, then stable-sort by
-// (time, origin).  Clears the drained rows.
-template <typename OutboxRange>
-void drain_mail_for(OutboxRange& outboxes, std::uint32_t dest,
-                    std::vector<MailSlot>& scratch) {
-  scratch.clear();
-  for (auto& box : outboxes) {
-    auto& row = box.row(dest);
-    for (MailSlot& slot : row) scratch.push_back(std::move(slot));
-    row.clear();
-  }
-  std::stable_sort(scratch.begin(), scratch.end(),
-                   [](const MailSlot& a, const MailSlot& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     return a.origin < b.origin;
-                   });
-}
 
 }  // namespace ragnar::sim

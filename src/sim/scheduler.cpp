@@ -15,7 +15,7 @@ Scheduler::~Scheduler() {
   tasks_.clear();
 }
 
-void Scheduler::at(SimTime t, std::function<void()> cb) {
+void Scheduler::at(SimTime t, Callback&& cb) {
   queue_.push(std::max(t, now_), std::move(cb));
 }
 

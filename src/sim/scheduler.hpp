@@ -26,8 +26,8 @@ class Scheduler {
 
   // Schedule a callback at an absolute / relative time.  Scheduling in the
   // past is an error in the model; it is clamped to `now` to stay safe.
-  void at(SimTime t, std::function<void()> cb);
-  void after(SimDur d, std::function<void()> cb) { at(now_ + d, std::move(cb)); }
+  void at(SimTime t, Callback&& cb);
+  void after(SimDur d, Callback&& cb) { at(now_ + d, std::move(cb)); }
 
   // Run one event.  Returns false when the queue is empty.
   bool step();

@@ -105,6 +105,15 @@ struct ChannelCase {
   double max_err;
 };
 
+// Names each cell after its device and kind ("CX4_InterMr").  ctest takes
+// the printed parameter as the test name, and gtest's default print is a
+// byte dump that includes the struct's uninitialised padding.
+void PrintTo(const ChannelCase& c, std::ostream* os) {
+  static constexpr const char* kModel[] = {"CX4", "CX5", "CX6"};
+  *os << kModel[static_cast<int>(c.model)] << '_'
+      << (c.kind == UliChannelKind::kInterMr ? "InterMr" : "IntraMr");
+}
+
 class UliChannelMatrix : public ::testing::TestWithParam<ChannelCase> {};
 
 TEST_P(UliChannelMatrix, TableVShape) {

@@ -112,10 +112,21 @@ TEST(EngineWindowed, SameTimeMailDeliversInOriginOrder) {
     order.push_back(9); }); });
   eng.shard(1).at(us(2), [&] { eng.post(0, when, /*origin=*/4, [&] {
     order.push_back(4); }); });
+  // More posts from origin 4 for the same instant run in post order (the
+  // push-index tie-break) — enough of them that a sort on (time, origin)
+  // alone would be free to reorder the run.
+  eng.shard(1).at(us(2), [&] {
+    for (int k = 0; k < 32; ++k) {
+      eng.post(0, when, /*origin=*/4, [&order, k] { order.push_back(40 + k); });
+    }
+  });
   eng.run_until_idle();
 
-  EXPECT_EQ(order, (std::vector<int>{1, 4, 9}));
-  EXPECT_EQ(eng.mail_delivered(), 3u);
+  std::vector<int> expect{1, 4};
+  for (int k = 0; k < 32; ++k) expect.push_back(40 + k);
+  expect.push_back(9);
+  EXPECT_EQ(order, expect);
+  EXPECT_EQ(eng.mail_delivered(), 35u);
 }
 
 // Four logical nodes pass a token around a ring, node n pinned to shard

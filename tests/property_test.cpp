@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "covert/ecc.hpp"
@@ -109,6 +113,83 @@ TEST(Property, EventQueueDrainsInSortedStableOrder) {
   while (!q.empty()) q.pop(nullptr)();
   ASSERT_EQ(fired.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(fired[i], ref[i].seq);
+
+  // Second input: running callbacks push more events, at their own instant
+  // and later, until far more are pending than were pushed up front, so the
+  // callback slots grow under a running callback.  Captures sit below and
+  // above sim::Callback's inline buffer, and one kind is move-only.  Each
+  // capture holds a Probe that counts its destruction; a copy made anywhere
+  // would count twice.  Run once to empty and once cut short by clear().
+  struct Probe {
+    std::vector<int>* dtors;
+    int id;
+    Probe(std::vector<int>* d, int i) : dtors(d), id(i) {}
+    Probe(const Probe&) = default;
+    Probe(Probe&& o) noexcept
+        : dtors(std::exchange(o.dtors, nullptr)), id(o.id) {}
+    ~Probe() {
+      if (dtors != nullptr) ++(*dtors)[id];
+    }
+  };
+  using Pad = std::array<std::uint64_t, 24>;
+  static_assert(sizeof(Pad) > sim::Callback::kInlineBytes);
+  constexpr int kRoots = 64;
+  constexpr int kDepth = 5;  // each root fans out into 2^6 - 1 events
+  for (const bool cut_short : {false, true}) {
+    sim::EventQueue q2;
+    std::vector<int> dtors;
+    std::vector<std::pair<sim::SimTime, int>> pushed, ran;
+    std::size_t max_pending = 0;
+    std::function<void(sim::SimTime, int)> push = [&](sim::SimTime at,
+                                                      int depth) {
+      const int id = static_cast<int>(pushed.size());
+      pushed.push_back({at, id});
+      dtors.push_back(0);
+      auto body = [&, at, id, depth] {
+        ran.push_back({at, id});
+        if (depth == 0) return;
+        push(at, depth - 1);
+        push(at + 1 + rng.uniform_u64(50), depth - 1);
+        max_pending = std::max(max_pending, q2.size());
+      };
+      switch (id % 3) {
+        case 0:
+          q2.push(at, [probe = Probe(&dtors, id), body] { body(); });
+          break;
+        case 1:
+          q2.push(at, [probe = Probe(&dtors, id), pad = Pad{}, body] {
+            body();
+          });
+          break;
+        default:
+          q2.push(at, [p = std::make_unique<Probe>(&dtors, id), body] {
+            body();
+          });
+          break;
+      }
+    };
+    for (int i = 0; i < kRoots; ++i) push(rng.uniform_u64(200), kDepth);
+    const std::size_t total = kRoots * ((std::size_t{2} << kDepth) - 1);
+    const std::size_t stop = cut_short ? total / 2 : total;
+    while (!q2.empty() && ran.size() < stop) q2.pop(nullptr)();
+    if (cut_short) {
+      EXPECT_FALSE(q2.empty());
+      q2.clear();
+    }
+    EXPECT_TRUE(q2.empty());
+    EXPECT_GT(max_pending, std::size_t{kRoots});
+    if (!cut_short) {
+      ASSERT_EQ(pushed.size(), total);
+    }
+    // Every push lands at or after the running event's time with a later
+    // insertion index, so the run order is the (at, insertion) order.
+    std::sort(pushed.begin(), pushed.end());
+    ASSERT_EQ(ran.size(), stop);
+    EXPECT_TRUE(std::equal(ran.begin(), ran.end(), pushed.begin()));
+    for (std::size_t id = 0; id < dtors.size(); ++id) {
+      EXPECT_EQ(dtors[id], 1) << "capture " << id;
+    }
+  }
 }
 
 // --- translation unit properties --------------------------------------------
