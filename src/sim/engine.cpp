@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -11,6 +12,47 @@
 namespace ragnar::sim {
 
 thread_local Engine::ExecContext Engine::t_exec;
+
+namespace {
+
+// How long a thread waiting on the window handoff spins before it parks
+// (workers on gen_) or falls back to plain yielding (the coordinator on
+// done_).  Between the windows of one run call the coordinator turns a
+// barrier around in a few microseconds, so a worker that spins this long
+// catches the next window without a futex sleep and wake; paying those on
+// every window was most of the parallel overhead.  Only a worker left idle
+// between run calls, or starved of its core, runs past the budget.
+constexpr std::chrono::microseconds kSpinBudget{50};
+
+void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Spins with a CPU pause until ready() holds or kSpinBudget has passed;
+// returns ready().  Every 64 pauses (about a microsecond) it reads the
+// clock and yields.  On an otherwise idle core the yield returns at once;
+// when the host has more runnable threads than cores, it hands the core to
+// them, often the very thread being waited for.  A pause-only spin made
+// cloud_read_par (4 workers on 4 cores) about 3x slower than a
+// condition-variable handoff with two CPU-bound processes beside it.
+template <typename Ready>
+bool spin_until(const Ready& ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (unsigned i = 1;; ++i) {
+    if (ready()) return true;
+    cpu_pause();
+    if (i % 64 == 0) {
+      if (std::chrono::steady_clock::now() >= deadline) return ready();
+      std::this_thread::yield();
+    }
+  }
+}
+
+}  // namespace
 
 Engine::Engine(const Options& opts)
     : windowed_(opts.shards > 0),
@@ -28,14 +70,11 @@ Engine::Engine(const Options& opts)
 }
 
 Engine::~Engine() {
-  if (!threads_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_.store(true, std::memory_order_release);
-    }
-    cv_work_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
+  if (threads_.empty()) return;
+  shutdown_.store(true, std::memory_order_release);
+  gen_.fetch_add(1);  // seq_cst, as in exec_window
+  gen_.notify_all();
+  for (std::thread& t : threads_) t.join();
 }
 
 SimTime Engine::now() const {
@@ -72,7 +111,9 @@ void Engine::post(ShardId to, SimTime t, std::uint64_t origin, Callback&& cb) {
                  static_cast<unsigned long long>(lookahead_));
     std::abort();
   }
-  cur->out.push(to, t, origin, std::move(cb));
+  cur->out.push(parity_, to, t, origin, std::move(cb));
+  if (!cur->mailed || t < cur->mail_floor) cur->mail_floor = t;
+  cur->mailed = true;
 }
 
 void Engine::constrain_lookahead(SimDur lat) {
@@ -113,23 +154,47 @@ std::uint64_t Engine::events_processed() const {
   return total;
 }
 
+std::uint64_t Engine::mail_delivered() const {
+  std::uint64_t total = 0;
+  for (const auto& s : shards_) total += s->mail_delivered;
+  return total;
+}
+
 void Engine::run_windows(SimTime bound, bool bounded,
                          const std::function<bool()>* pred) {
   record_obs_ = obs::current() != nullptr;
   if (record_obs_) arm_shard_hubs();
   for (;;) {
-    drain_all_mail();
     if (pred != nullptr && !(*pred)()) break;
-    SimTime t_min = 0;
-    if (!earliest_event(&t_min)) break;
-    if (bounded && t_min > bound) break;
+    // T: the earliest event still to run, whether it sits in a shard queue
+    // or in the mail the last window posted, which its destination queues
+    // at the start of the next window.
+    bool any = false;
+    SimTime t_min = ~SimTime{0};
+    for (const auto& s : shards_) {
+      if (s->sched.pending() != 0) {
+        t_min = std::min(t_min, s->sched.next_event_time());
+        any = true;
+      }
+      if (s->mailed) {
+        t_min = std::min(t_min, s->mail_floor);
+        any = true;
+      }
+    }
+    if (!any || (bounded && t_min > bound)) break;
     // Window [t_min, t_min + L): inclusive end, saturating on overflow.
     SimTime upto = t_min + (lookahead_ - 1);
     if (upto < t_min) upto = ~SimTime{0};
     if (bounded && upto > bound) upto = bound;
     exec_window(upto);
+    parity_ ^= 1;
     ++windows_;
   }
+  // Queue the last window's mail before returning: between run calls every
+  // pending event sits in a shard queue, so coordinator code that schedules
+  // into a shard lands behind the mail, as it always has.
+  for (ShardId d = 0; d < shard_count(); ++d) drain_mail(d, parity_ ^ 1);
+  for (auto& s : shards_) s->mailed = false;
   if (bounded) {
     // No events <= bound remain anywhere; advance every clock to the bound
     // so now() is well-defined and equal across shards.
@@ -138,46 +203,31 @@ void Engine::run_windows(SimTime bound, bool bounded,
   if (record_obs_) merge_shard_metrics();
 }
 
-void Engine::drain_all_mail() {
-  const std::uint32_t n = shard_count();
-  for (std::uint32_t dest = 0; dest < n; ++dest) {
-    mail_keys_.clear();
-    for (std::uint32_t src = 0; src < n; ++src) {
-      const std::vector<MailSlot>& row = shards_[src]->out.row(dest);
-      for (std::uint32_t i = 0; i < row.size(); ++i) {
-        mail_keys_.push_back(MailKey{row[i].at, row[i].origin, src, i});
-      }
+void Engine::drain_mail(ShardId dest, unsigned parity) {
+  ShardState& st = *shards_[dest];
+  std::vector<MailKey>& keys = st.mail_keys;
+  keys.clear();
+  for (std::uint32_t src = 0; src < shard_count(); ++src) {
+    const std::vector<MailSlot>& row = shards_[src]->out.row(parity, dest);
+    for (std::uint32_t i = 0; i < row.size(); ++i) {
+      keys.push_back(MailKey{row[i].at, row[i].origin, src, i});
     }
-    // (source shard, push index) completes the key, so this unstable sort
-    // yields exactly the stable (at, origin) order of the rows concatenated
-    // in source-shard order (mailbox.hpp).
-    std::sort(mail_keys_.begin(), mail_keys_.end(),
-              [](const MailKey& a, const MailKey& b) {
-                if (a.at != b.at) return a.at < b.at;
-                if (a.origin != b.origin) return a.origin < b.origin;
-                if (a.src != b.src) return a.src < b.src;
-                return a.idx < b.idx;
-              });
-    mail_delivered_ += mail_keys_.size();
-    Scheduler& sched = shards_[dest]->sched;
-    for (const MailKey& k : mail_keys_) {
-      sched.at(k.at, std::move(shards_[k.src]->out.row(dest)[k.idx].cb));
-    }
-    for (auto& src : shards_) src->out.row(dest).clear();
   }
-  mail_keys_.clear();
-}
-
-bool Engine::earliest_event(SimTime* t) const {
-  bool any = false;
-  SimTime best = ~SimTime{0};
-  for (const auto& s : shards_) {
-    if (s->sched.pending() == 0) continue;
-    best = std::min(best, s->sched.next_event_time());
-    any = true;
+  // (source shard, push index) completes the key, so this unstable sort
+  // yields exactly the stable (at, origin) order of the rows concatenated
+  // in source-shard order (mailbox.hpp).
+  std::sort(keys.begin(), keys.end(), [](const MailKey& a, const MailKey& b) {
+    if (a.at != b.at) return a.at < b.at;
+    if (a.origin != b.origin) return a.origin < b.origin;
+    if (a.src != b.src) return a.src < b.src;
+    return a.idx < b.idx;
+  });
+  st.mail_delivered += keys.size();
+  for (const MailKey& k : keys) {
+    std::vector<MailSlot>& row = shards_[k.src]->out.row(parity, dest);
+    st.sched.at(k.at, std::move(row[k.idx].cb));
   }
-  *t = best;
-  return any;
+  for (auto& src : shards_) src->out.row(parity, dest).clear();
 }
 
 void Engine::exec_window(SimTime upto) {
@@ -187,23 +237,29 @@ void Engine::exec_window(SimTime upto) {
     return;
   }
   start_workers();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    done_.store(0, std::memory_order_relaxed);
-    gen_.fetch_add(1, std::memory_order_release);
-  }
-  cv_work_.notify_all();
+  done_.store(0, std::memory_order_relaxed);
+  // seq_cst, not just release: a worker parks only after registering as a
+  // waiter, and notify_all skips the wake when it sees no waiter, so the
+  // bump and that check must be totally ordered with the worker's.
+  gen_.fetch_add(1);
+  gen_.notify_all();
   run_worker_share(0, upto);
-  // Spin-wait for the other workers; windows are short and frequent, and
-  // the workers finish the moment their shards drain.
   const unsigned expect = workers_ - 1;
-  while (done_.load(std::memory_order_acquire) != expect) {
-    std::this_thread::yield();
+  const auto joined = [&] {
+    return done_.load(std::memory_order_acquire) == expect;
+  };
+  if (!spin_until(joined)) {
+    while (!joined()) std::this_thread::yield();
   }
 }
 
 void Engine::exec_shard_window(ShardId s, SimTime upto) {
   ShardState& st = *shards_[s];
+  // First the mail every shard posted to s in the previous window: no
+  // event entered s's queue since that window ended, so the mail takes the
+  // same queue positions as a drain at the barrier would give it.
+  drain_mail(s, parity_ ^ 1);
+  st.mailed = false;
   t_exec.state = &st;
   t_exec.id = s;
   obs::Hub* prev = nullptr;
@@ -229,17 +285,14 @@ void Engine::start_workers() {
 }
 
 void Engine::worker_main(unsigned worker_id) {
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [&] {
-        return gen_.load(std::memory_order_acquire) != seen ||
-               shutdown_.load(std::memory_order_acquire);
-      });
-    }
-    if (shutdown_.load(std::memory_order_acquire)) return;
+    const auto released = [&] {
+      return gen_.load(std::memory_order_acquire) != seen;
+    };
+    if (!spin_until(released)) gen_.wait(seen, std::memory_order_acquire);
     seen = gen_.load(std::memory_order_acquire);
+    if (shutdown_.load(std::memory_order_acquire)) return;
     run_worker_share(worker_id, window_upto_);
     done_.fetch_add(1, std::memory_order_release);
   }

@@ -1,11 +1,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -31,17 +30,20 @@ class Hub;
 //
 //   * windowed (Options::shards >= 1): conservative parallel DES.  Time
 //     advances in windows [T, T+L) where T is the earliest pending event
-//     across all shards and L is the lookahead — the minimum cross-node
-//     propagation latency the fabric registered via constrain_lookahead().
-//     Within a window every shard runs its local events independently (in
-//     parallel when the ConcurrencyBudget grants workers); events one node
-//     generates for another are at least L in the future, so they land in
-//     the *next* window and are exchanged at the barrier through per-shard
-//     mailboxes, merged in a shard-count-independent order (mailbox.hpp).
-//     The window schedule is a pure function of event timestamps, so a
-//     windowed run's output is identical for 1 shard or N, with any number
-//     of worker threads — the determinism contract tests assert exactly
-//     this.
+//     across all shards — queued, or mailed in the last window — and L is
+//     the lookahead: the minimum cross-node propagation latency the fabric
+//     registered via constrain_lookahead().  Within a window every shard
+//     runs its local events independently (in parallel when the
+//     ConcurrencyBudget grants workers); events one node generates for
+//     another are at least L in the future, so they belong to a later
+//     window and travel through per-shard mailboxes.  Each shard starts a
+//     window by queueing the mail posted to it in the previous one, in a
+//     shard-count-independent order (mailbox.hpp), and a run call queues
+//     the last window's mail before it returns.  The window schedule is a
+//     pure function of event timestamps, so a windowed run's output is
+//     identical for 1 shard or N, with any number of worker threads — the
+//     determinism contract tests assert exactly this.  Workers wait for the
+//     next window by spinning briefly, then parking (docs/ENGINE.md §5).
 //
 // The two modes are not byte-identical to each other: legacy predicate
 // stops are event-granular while windowed stops are barrier-granular, and
@@ -119,7 +121,8 @@ class Engine {
   // Run all events with timestamp <= t, then advance every clock to t.
   void run_until(SimTime t);
   // Run until done() returns true (checked event-by-event in legacy mode,
-  // at window barriers in windowed mode) or no events remain.
+  // at window barriers in windowed mode — before the last window's mail is
+  // queued) or no events remain.
   void run_until(const std::function<bool()>& done);
   // Complement of run_until(pred): run while pred() holds.
   void run_while(const std::function<bool()>& pred);
@@ -128,14 +131,29 @@ class Engine {
   // --- introspection -------------------------------------------------------
   std::uint64_t events_processed() const;
   std::uint64_t windows_run() const { return windows_; }
-  std::uint64_t mail_delivered() const { return mail_delivered_; }
+  std::uint64_t mail_delivered() const;
   // Worker threads the ConcurrencyBudget granted (1 = serial).
   unsigned workers() const { return workers_; }
 
  private:
+  static constexpr std::size_t kCacheLine = 64;
+
+  // drain_mail's sort keys: (at, origin, source shard, push index).
+  struct MailKey {
+    SimTime at;
+    std::uint64_t origin;
+    std::uint32_t src;
+    std::uint32_t idx;
+  };
   struct ShardState {
     Scheduler sched;
     Outbox out;
+    // Earliest mail this shard posted in the current window (valid while
+    // `mailed`); the coordinator folds it into the next window's floor.
+    SimTime mail_floor = 0;
+    bool mailed = false;
+    std::vector<MailKey> mail_keys;  // mail addressed to this shard
+    std::uint64_t mail_delivered = 0;
     std::unique_ptr<obs::Hub> hub;  // per-shard metrics, merged after runs
   };
   // The shard this thread is currently executing a window for.  A
@@ -149,8 +167,7 @@ class Engine {
 
   void run_windows(SimTime bound, bool bounded,
                    const std::function<bool()>* pred);
-  void drain_all_mail();
-  bool earliest_event(SimTime* t) const;
+  void drain_mail(ShardId dest, unsigned parity);
   void exec_window(SimTime upto);
   void exec_shard_window(ShardId s, SimTime upto);
   void run_worker_share(unsigned worker_id, SimTime upto);
@@ -163,30 +180,24 @@ class Engine {
   bool serial_windows_ = false;
   SimDur lookahead_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  // drain_all_mail's sort keys: (at, origin, source shard, push index).
-  struct MailKey {
-    SimTime at;
-    std::uint64_t origin;
-    std::uint32_t src;
-    std::uint32_t idx;
-  };
-  std::vector<MailKey> mail_keys_;
   std::uint64_t windows_ = 0;
-  std::uint64_t mail_delivered_ = 0;
   // Inclusive end of the window being executed; post() validates against it.
   SimTime window_upto_ = 0;
-  bool in_window_ = false;
+  // Outbox parity the executing window posts into; it drains the other.
+  unsigned parity_ = 0;
   bool record_obs_ = false;
 
-  // Worker pool (windowed mode; thread 0 is the caller).
+  // Worker pool (windowed mode; thread 0 is the caller).  The coordinator
+  // bumps gen_ to release a window and the workers count themselves into
+  // done_ when their share is finished; the two words sit on separate
+  // cache lines, so the spinning readers of one never slow the writers of
+  // the other.
   ConcurrencyBudget::Lease lease_;
   unsigned workers_ = 1;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::atomic<std::uint64_t> gen_{0};
-  std::atomic<unsigned> done_{0};
+  alignas(kCacheLine) std::atomic<std::uint32_t> gen_{0};
   std::atomic<bool> shutdown_{false};
+  alignas(kCacheLine) std::atomic<std::uint32_t> done_{0};
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace ragnar::sim

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -11,15 +12,19 @@
 //
 // During a window, each shard appends every engine-mediated event it
 // generates to its own outbox row — one slot vector per destination shard.
-// A row is written by exactly one thread (the worker executing that shard)
-// and drained by the coordinator after the window barrier, so the handoff
-// needs no locks and no per-slot atomics: the barrier's release/acquire
-// edge is the only synchronization, the mailbox itself is plain memory
-// with a single writer per window.
+// The rows are double-buffered by window parity: a window posts into the
+// rows of its own parity, and at the start of the next window each
+// destination shard drains the rows of the other parity addressed to it
+// while the other shards already post the new window's mail.  A row is
+// written by exactly one thread in one window (the worker executing its
+// source shard) and read and cleared by exactly one thread in the next
+// (the worker executing its destination shard), so the handoff needs no
+// locks and no per-slot atomics: the window barrier's release/acquire
+// edge is the only synchronization, the mailbox itself is plain memory.
 //
 // Determinism does not come from the drain *visit* order but from an
 // explicit shard-independent sort key.  Every slot carries the origin key
-// of the node that generated it; Engine::drain_all_mail sorts one
+// of the node that generated it; Engine::drain_mail sorts one
 // (time, origin, source shard, push index) key per slot and moves each
 // callback, in key order, straight from its row into the destination
 // queue.  An origin node lives on exactly one shard, so slots that tie on
@@ -36,26 +41,28 @@ struct MailSlot {
   Callback cb;
 };
 
-// One shard's outgoing mail: row per destination shard.
+// One shard's outgoing mail: per window parity, a row per destination
+// shard.
 class Outbox {
  public:
   void reset(std::uint32_t shard_count) {
-    rows_.clear();
-    rows_.resize(shard_count);
+    for (std::vector<std::vector<MailSlot>>& rows : rows_) {
+      rows.clear();
+      rows.resize(shard_count);
+    }
   }
 
-  void push(std::uint32_t dest, SimTime at, std::uint64_t origin,
-            Callback&& cb) {
-    rows_[dest].emplace_back(at, origin, std::move(cb));
+  void push(unsigned parity, std::uint32_t dest, SimTime at,
+            std::uint64_t origin, Callback&& cb) {
+    rows_[parity][dest].emplace_back(at, origin, std::move(cb));
   }
 
-  std::vector<MailSlot>& row(std::uint32_t dest) { return rows_[dest]; }
-  const std::vector<MailSlot>& row(std::uint32_t dest) const {
-    return rows_[dest];
+  std::vector<MailSlot>& row(unsigned parity, std::uint32_t dest) {
+    return rows_[parity][dest];
   }
 
  private:
-  std::vector<std::vector<MailSlot>> rows_;
+  std::array<std::vector<std::vector<MailSlot>>, 2> rows_;
 };
 
 }  // namespace ragnar::sim

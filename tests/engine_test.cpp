@@ -136,6 +136,7 @@ std::array<EventLog, 4> run_ring(std::uint32_t shards) {
   Engine::Options opts;
   opts.shards = shards;
   Engine eng(opts);
+  EXPECT_EQ(eng.workers(), shards);
   eng.constrain_lookahead(us(1));
   const auto shard_of = [&](int node) {
     return static_cast<ShardId>(node % shards);
@@ -158,14 +159,58 @@ std::array<EventLog, 4> run_ring(std::uint32_t shards) {
 }
 
 TEST(EngineWindowed, OutputInvariantAcrossShardCounts) {
+  // One worker per shard whatever the host's core count, so the 2- and
+  // 4-shard rings always take the parallel window path.
+  ConcurrencyBudget::instance().set_total(4);
   const auto one = run_ring(1);
   const auto two = run_ring(2);
   const auto four = run_ring(4);
+  ConcurrencyBudget::instance().set_total(0);
   for (int n = 0; n < 4; ++n) {
     EXPECT_FALSE(one[n].empty());
     EXPECT_EQ(one[n], two[n]) << "node " << n << " diverged at 2 shards";
     EXPECT_EQ(one[n], four[n]) << "node " << n << " diverged at 4 shards";
   }
+}
+
+// A run call must leave no mail behind in the outboxes: the last window's
+// mail is queued before the call returns, so coordinator code scheduling
+// into a shard for the same instant runs after it, and the mail is counted
+// once.  Covers the final window of a bounded run and of a predicate stop.
+TEST(EngineWindowed, LastWindowMailIsQueuedWhenTheRunReturns) {
+  ConcurrencyBudget::instance().set_total(2);
+  {
+    Engine::Options opts;
+    opts.shards = 2;
+    Engine eng(opts);
+    EXPECT_EQ(eng.workers(), 2u);
+    eng.constrain_lookahead(us(1));
+
+    std::vector<int> order;  // only shard 1 executes these -> no race
+    eng.shard(0).at(us(2), [&] {
+      eng.post(1, us(10), /*origin=*/0, [&] { order.push_back(1); });
+    });
+    eng.run_until(us(5));  // the mail's window lies past the bound
+    EXPECT_EQ(eng.now(), us(5));
+    EXPECT_EQ(eng.shard(1).pending(), 1u);
+    EXPECT_EQ(eng.mail_delivered(), 1u);
+    eng.shard(1).at(us(10), [&] { order.push_back(2); });
+
+    bool stop = false;
+    eng.shard(0).at(us(20), [&] {
+      stop = true;
+      eng.post(1, us(30), /*origin=*/0, [&] { order.push_back(3); });
+    });
+    eng.run_while([&] { return !stop; });
+    EXPECT_TRUE(stop);
+    EXPECT_EQ(eng.shard(1).pending(), 1u);
+    eng.shard(1).at(us(30), [&] { order.push_back(4); });
+
+    eng.run_until_idle();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(eng.mail_delivered(), 2u);
+  }
+  ConcurrencyBudget::instance().set_total(0);
 }
 
 TEST(EngineWindowed, ConstrainLookaheadTightensAndClamps) {
@@ -199,11 +244,46 @@ TEST(EngineWindowedDeathTest, LookaheadViolationAborts) {
       "lookahead violation");
 }
 
-// Heavy cross-shard traffic with a real worker pool: 64 token chains over 4
-// shards, every hop crossing a shard boundary through the mailboxes.  Run
-// under tsan this is the data-race probe for the parallel window path (the
-// CI tsan job runs it with the rest of this suite).
+// Heavy cross-shard traffic: 64 token chains, each hop sent one lookahead
+// ahead to the next shard round-robin, so on 4 shards every hop crosses a
+// shard boundary through the mailboxes.  Returns each chain's hop log
+// (time, hops left), which must not depend on the shard count.
+std::vector<EventLog> run_chains(Engine& eng) {
+  constexpr int kChains = 64;
+  constexpr int kHops = 200;
+  const std::uint32_t shards = eng.shard_count();
+  eng.constrain_lookahead(ns(10));
+  PerShardSlots<std::uint64_t> executed;
+  executed.reset(shards, 1);
+  std::vector<EventLog> log(kChains);  // a chain runs on one shard at a time
+  std::function<void(int, int)> hop = [&](int chain, int hops) {
+    executed.at(eng.current_shard(), 0) += 1;
+    log[chain].push_back({eng.local_now(), hops});
+    if (hops == 0) return;
+    eng.post(static_cast<ShardId>((chain + kHops - hops + 1) % shards),
+             eng.local_now() + eng.lookahead(), chain,
+             [&hop, chain, hops] { hop(chain, hops - 1); });
+  };
+  for (int c = 0; c < kChains; ++c) {
+    eng.shard(static_cast<ShardId>(c % shards))
+        .at(ns(1), [&hop, c] { hop(c, kHops); });
+  }
+  eng.run_until_idle();
+  EXPECT_EQ(executed.sum(0),
+            static_cast<std::uint64_t>(kChains) * (kHops + 1));
+  EXPECT_GE(eng.mail_delivered(), static_cast<std::uint64_t>(kChains) * kHops);
+  return log;
+}
+
+// The chains with a real worker pool.  Run under tsan this is the
+// data-race probe for the parallel window path (the CI tsan job runs it
+// with the rest of this suite).
 TEST(EngineWindowed, MailboxStressUnderParallelWorkers) {
+  Engine::Options serial_opts;
+  serial_opts.shards = 1;
+  Engine serial(serial_opts);
+  const std::vector<EventLog> reference = run_chains(serial);
+
   ConcurrencyBudget& budget = ConcurrencyBudget::instance();
   budget.set_total(4);  // decouple the pool size from the host's cores
   {
@@ -212,29 +292,11 @@ TEST(EngineWindowed, MailboxStressUnderParallelWorkers) {
     Engine eng(opts);
     EXPECT_EQ(eng.workers(), 4u);
     EXPECT_EQ(budget.leased(), 4u);
-    eng.constrain_lookahead(ns(10));
-
-    constexpr int kChains = 64;
-    constexpr int kHops = 200;
-    PerShardSlots<std::uint64_t> executed;
-    executed.reset(4, 1);
-    std::function<void(int, int)> hop = [&](int chain, int hops) {
-      executed.at(eng.current_shard(), 0) += 1;
-      if (hops == 0) return;
-      eng.post(static_cast<ShardId>((chain + kHops - hops + 1) % 4),
-               eng.local_now() + eng.lookahead(), chain,
-               [&hop, chain, hops] { hop(chain, hops - 1); });
-    };
-    for (int c = 0; c < kChains; ++c) {
-      eng.shard(static_cast<ShardId>(c % 4))
-          .at(ns(1), [&hop, c] { hop(c, kHops); });
+    const std::vector<EventLog> parallel = run_chains(eng);
+    ASSERT_EQ(parallel.size(), reference.size());
+    for (std::size_t c = 0; c < reference.size(); ++c) {
+      EXPECT_EQ(parallel[c], reference[c]) << "chain " << c << " diverged";
     }
-    eng.run_until_idle();
-
-    EXPECT_EQ(executed.sum(0),
-              static_cast<std::uint64_t>(kChains) * (kHops + 1));
-    EXPECT_GE(eng.mail_delivered(),
-              static_cast<std::uint64_t>(kChains) * kHops);
   }
   EXPECT_EQ(budget.leased(), 0u);  // the engine's lease died with it
   budget.set_total(0);
