@@ -8,8 +8,9 @@
 // Unlike the other cloud_* scenarios this one always runs windowed
 // (--shards 0 means one shard), with rack r pinned to shard r % N: it is
 // the workload the engine's conservative time-window parallelism is built
-// for, and the BENCH_engine.json speedup numbers come from sweeping
-// --shards over it.  Per the determinism contract the stdout summary is
+// for; the engine's speed is measured by the benchmark's cloud_read_par
+// and cloud_read_serial workloads (docs/ENGINE.md §6), which run the same
+// shape of model.  Per the determinism contract the stdout summary is
 // byte-identical for every shard count; the events/sec line — the only
 // host-timing-dependent output — goes to stderr.
 #include <algorithm>

@@ -15,8 +15,7 @@ using namespace ragnar;
 
 namespace {
 
-verbs::Wc run_one(revng::Testbed& bed, revng::Testbed::Connection& conn,
-                  const verbs::SendWr& wr) {
+verbs::Wc run_one(revng::Testbed::Connection& conn, const verbs::SendWr& wr) {
   if (conn.qp().post_send(wr) != verbs::PostResult::kOk) {
     std::printf("post_send failed\n");
     return {};
@@ -53,14 +52,14 @@ int main() {
   wr.length = sizeof msg;
   wr.remote_addr = server_mr->addr() + 4096;
   wr.rkey = server_mr->rkey();
-  verbs::Wc wc = run_one(bed, conn, wr);
+  verbs::Wc wc = run_one(conn, wr);
   std::printf("WRITE  %-22s latency=%s\n", rnic::wc_status_name(wc.status),
               sim::format_duration(wc.latency()).c_str());
 
   // 2) RDMA READ it back into a clean buffer.
   std::memset(conn.client_mr->data(), 0, sizeof msg);
   wr.opcode = verbs::WrOpcode::kRdmaRead;
-  wc = run_one(bed, conn, wr);
+  wc = run_one(conn, wr);
   std::printf("READ   %-22s latency=%s payload=\"%s\"\n",
               rnic::wc_status_name(wc.status),
               sim::format_duration(wc.latency()).c_str(),
@@ -71,8 +70,8 @@ int main() {
   wr.remote_addr = server_mr->addr();  // 8-aligned counter
   wr.length = 8;
   wr.compare_add = 5;
-  run_one(bed, conn, wr);
-  wc = run_one(bed, conn, wr);
+  run_one(conn, wr);
+  wc = run_one(conn, wr);
   std::uint64_t fetched = 0;
   std::memcpy(&fetched, conn.client_mr->data(), 8);
   std::printf("FETCH_ADD(+5) twice: second op fetched %llu (expect 5)\n",
@@ -81,7 +80,7 @@ int main() {
   wr.opcode = verbs::WrOpcode::kCmpSwap;
   wr.compare_add = 10;  // expect the counter to be 10 now
   wr.swap = 777;
-  wc = run_one(bed, conn, wr);
+  wc = run_one(conn, wr);
   std::memcpy(&fetched, conn.client_mr->data(), 8);
   std::printf("CMP_SWAP(10 -> 777): %-22s old=%llu\n",
               rnic::wc_status_name(wc.status),
@@ -92,7 +91,7 @@ int main() {
   wr.opcode = verbs::WrOpcode::kRdmaRead;
   wr.remote_addr = server_mr->addr() + server_mr->length() - 8;
   wr.length = 64;
-  wc = run_one(bed, conn, wr);
+  wc = run_one(conn, wr);
   std::printf("out-of-bounds READ: %s (expected REMOTE_ACCESS_ERROR)\n",
               rnic::wc_status_name(wc.status));
 

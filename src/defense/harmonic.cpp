@@ -1,39 +1,12 @@
 #include "defense/harmonic.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
 
 namespace ragnar::defense {
 
 HarmonicMonitor::HarmonicMonitor(sim::Scheduler& sched, rnic::Rnic& dev,
                                  sim::SimDur window, HarmonicPolicy policy)
     : sched_(sched), dev_(dev), window_(window), policy_(policy) {}
-
-void HarmonicMonitor::enable_enforcement(double throttle_gbps,
-                                         std::size_t clean_windows_to_lift) {
-  if (enforcer_ == nullptr) {
-    // Direct-mutation era shim: nobody attached a ControlPort, so wire the
-    // monitored device's own port through a private Enforcer.
-    static std::atomic_flag warned = ATOMIC_FLAG_INIT;
-    if (!warned.test_and_set(std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "[harmonic] note: enable_enforcement called without an "
-                   "attached ControlPort; auto-attaching the monitored "
-                   "device's own control port through a private "
-                   "defense::Enforcer. Attach an Enforcer explicitly to "
-                   "drive enforcement across devices or detectors. (note "
-                   "shown once per run)\n");
-    }
-    owned_ = std::make_unique<Enforcer>(
-        EnforcerPolicy{throttle_gbps, clean_windows_to_lift});
-    owned_->attach(&dev_.control());
-    enforcer_ = owned_.get();
-    drive_windows_ = true;
-    return;
-  }
-  // An enforcer is already attached; enforcement is configured there.
-}
 
 void HarmonicMonitor::start() {
   if (running_) return;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,19 +75,9 @@ class HarmonicMonitor {
   void stop() { running_ = false; }
 
   // Enforcement (HARMONIC is an isolation system, not just a detector):
-  // flagged tenants are throttled to `throttle_gbps`; the throttle lifts
-  // after `clean_windows_to_lift` consecutive clean windows.
-  //
-  // Legacy shim: the monitor no longer owns throttle bookkeeping — it
-  // emits unified Verdicts into a defense::Enforcer driving the device's
-  // rnic::ControlPort.  Calling this without first attaching an external
-  // Enforcer auto-builds a private one over the monitored device's own
-  // port (and says so once on stderr); new code should construct an
-  // Enforcer, attach the port(s) explicitly, and call attach_enforcer().
-  void enable_enforcement(double throttle_gbps,
-                          std::size_t clean_windows_to_lift = 3);
-
-  // Plug this monitor into a shared enforcement loop.  When
+  // the monitor emits unified Verdicts into a defense::Enforcer, which
+  // owns the throttle policy and drives the device's rnic::ControlPort.
+  // Plug this monitor into such an enforcement loop.  When
   // `drive_windows` is set (the default for a single-monitor loop), each
   // poll tick closes the Enforcer's window after emitting its verdicts;
   // in a multi-detector loop exactly one participant should drive.
@@ -120,12 +109,9 @@ class HarmonicMonitor {
   bool running_ = false;
   std::size_t windows_ = 0;
   std::vector<TenantVerdict> verdicts_;
-  // The enforcement seam (PR 10): verdicts flow to an Enforcer, which owns
-  // the hysteresis state and the ControlPort(s).  `owned_` backs the
-  // enable_enforcement() legacy shim; an externally attached enforcer is
-  // never owned.
+  // The enforcement seam: verdicts flow to an Enforcer, which owns the
+  // hysteresis state and the ControlPort(s).  Never owned by the monitor.
   Enforcer* enforcer_ = nullptr;
-  std::unique_ptr<Enforcer> owned_;
   bool drive_windows_ = true;
 };
 

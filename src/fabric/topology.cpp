@@ -101,17 +101,12 @@ std::uint64_t Topology::link_bytes(LinkId id) const {
 }
 
 void Topology::set_fault_plan(const faults::FaultPlan& plan) {
-  injector_ =
-      plan.active() ? std::make_unique<faults::FaultInjector>(plan) : nullptr;
-  // Per-link plans pre-create every slot here so the hot path never inserts
-  // while shards run in parallel.
-  if (injector_ != nullptr) injector_->reserve_links(links_.size());
-  // A shared-stream plan draws from one RNG for every link, so parallel
-  // shard execution would make verdict order racy — it forces serial
-  // windows.  Per-link streams are consulted only from the shard that owns
-  // the hop's transmitting node, so they keep the parallel speedup.
-  engine_.set_serial_windows(injector_ != nullptr &&
-                             !injector_->plan().per_link_rng);
+  // Every directed link draws from its own stream, and a hop consults the
+  // injector only from the shard that owns its transmitting node, so an
+  // armed plan keeps parallel windows and is shard-count invariant.
+  injector_ = plan.enabled ? std::make_unique<faults::FaultInjector>(
+                                 plan, links_.size())
+                           : nullptr;
 }
 
 void Topology::schedule(NodeRef from, NodeRef to, sim::SimTime t,

@@ -44,8 +44,8 @@
 //
 // An armed faults::FaultPlan is consulted once per *link traversal* —
 // campaigns key on LinkId and can target a single uplink of a multi-hop
-// path (see faults.hpp).  With no plan armed no injector exists and no RNG
-// is drawn.
+// path, and every directed link draws from its own RNG stream (see
+// faults.hpp).  With no plan armed no injector exists and no RNG is drawn.
 //
 // A topology always runs on a sim::Engine (docs/ENGINE.md).  Hosts and
 // switches are pinned to shards at add time, and every cross-node event —

@@ -45,34 +45,17 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t chain_key) {
 
 }  // namespace
 
-FaultInjector::FaultInjector(FaultPlan plan)
-    : plan_(std::move(plan)), rng_(plan_.seed) {}
-
-void FaultInjector::reserve_links(std::size_t n_links) {
-  if (!plan_.per_link_rng) return;
-  slots_.reserve(2 * n_links + 2);
-  for (std::size_t i = 0; i < n_links; ++i) {
-    const std::uint64_t link = static_cast<std::uint64_t>(i) << 1;
-    slot_for(link);
-    slot_for(link | 1);
+FaultInjector::FaultInjector(FaultPlan plan, std::size_t n_links)
+    : plan_(std::move(plan)) {
+  slots_.reserve(2 * n_links);
+  for (std::uint64_t key = 0; key < 2 * n_links; ++key) {
+    slots_.emplace_back(mix_seed(plan_.seed, key));
   }
-  // decide() on a hop with no LinkId still keys a (shared) slot.
-  const std::uint64_t none = static_cast<std::uint64_t>(kNoLink) << 1;
-  slot_for(none);
-  slot_for(none | 1);
-}
-
-FaultInjector::LinkSlot& FaultInjector::slot_for(std::uint64_t chain_key) {
-  LinkSlot* s = slots_.find(chain_key);
-  if (s != nullptr) return *s;
-  // Insertion path: reached only before parallel execution (reserve_links)
-  // or from single-threaded standalone use — never on a parallel hot path.
-  return *slots_.try_emplace(chain_key, mix_seed(plan_.seed, chain_key)).first;
 }
 
 FaultStats FaultInjector::stats() const {
-  FaultStats out = stats_;
-  for (const auto& [key, slot] : slots_) out += slot.stats;
+  FaultStats out;
+  for (const LinkSlot& slot : slots_) out += slot.stats;
   return out;
 }
 
@@ -82,34 +65,33 @@ bool FaultInjector::in_scope(rnic::NodeId requester) const {
                    requester) != plan_.scoped_tenants.end();
 }
 
-void FaultInjector::ge_advance(GeState& st, sim::Xoshiro256& rng,
-                               FaultStats& stats, sim::SimTime now) {
+void FaultInjector::ge_advance(LinkSlot& s, sim::SimTime now) {
   // Same-step or out-of-order wire times reuse the current state (route()
   // computes departure times per message; they are not globally sorted).
-  if (now <= st.last) return;
+  if (now <= s.ge_last) return;
   std::uint64_t steps =
-      static_cast<std::uint64_t>((now - st.last) / plan_.ge_step);
-  st.last += static_cast<sim::SimDur>(steps) * plan_.ge_step;
+      static_cast<std::uint64_t>((now - s.ge_last) / plan_.ge_step);
+  s.ge_last += static_cast<sim::SimDur>(steps) * plan_.ge_step;
   const auto spend = [&](std::uint64_t n) {
-    stats.ge_steps += n;
-    if (st.bad) stats.ge_bad_steps += n;
+    s.stats.ge_steps += n;
+    if (s.ge_bad) s.stats.ge_bad_steps += n;
   };
   while (steps > 0) {
     const double p_leave =
-        st.bad ? plan_.ge_p_bad_to_good : plan_.ge_p_good_to_bad;
+        s.ge_bad ? plan_.ge_p_bad_to_good : plan_.ge_p_good_to_bad;
     if (p_leave <= 0.0) {  // absorbing state
       spend(steps);
       return;
     }
     if (p_leave >= 1.0) {
       spend(1);
-      st.bad = !st.bad;
+      s.ge_bad = !s.ge_bad;
       --steps;
       continue;
     }
     // Sample the geometric sojourn (steps spent in the current state before
     // the next transition) directly — O(transitions), not O(steps).
-    const double u = rng.uniform();
+    const double u = s.rng.uniform();
     const double raw = std::log1p(-u) / std::log1p(-p_leave);
     const std::uint64_t sojourn =
         1 + static_cast<std::uint64_t>(std::min(raw, 1e18));
@@ -121,7 +103,7 @@ void FaultInjector::ge_advance(GeState& st, sim::Xoshiro256& rng,
     }
     spend(sojourn);
     steps -= sojourn;
-    st.bad = !st.bad;
+    s.ge_bad = !s.ge_bad;
   }
 }
 
@@ -134,37 +116,20 @@ bool FaultInjector::in_flap(sim::SimTime on_wire) const {
 
 Decision FaultInjector::decide(const LinkHop& hop, rnic::NodeId requester,
                                sim::SimTime on_wire) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(hop.link) << 1) | (hop.reverse ? 1u : 0u);
-  return decide_keyed(key, hop, requester, on_wire);
-}
-
-Decision FaultInjector::decide_keyed(std::uint64_t chain_key,
-                                     const LinkHop& hop,
-                                     rnic::NodeId requester,
-                                     sim::SimTime on_wire) {
-  // Shared mode draws everything from the injector-wide stream; per-link
-  // mode confines every draw and every counter to this link's slot.
-  sim::Xoshiro256* rng = &rng_;
-  FaultStats* stats = &stats_;
-  GeState* ge = nullptr;
-  if (plan_.per_link_rng) {
-    LinkSlot& slot = slot_for(chain_key);
-    rng = &slot.rng;
-    stats = &slot.stats;
-    ge = &slot.ge;
-  }
-
+  // Every draw and every counter stays in this directed link's slot.
+  const std::size_t key =
+      (static_cast<std::size_t>(hop.link) << 1) | (hop.reverse ? 1u : 0u);
+  LinkSlot& s = slots_[key];
   Decision d;
   if (!plan_.enabled || !in_scope(requester)) {
-    ++stats->delivered;
+    ++s.stats.delivered;
     return d;
   }
 
   // Flap windows are deterministic (no RNG draw): a dead link drops
   // everything on the wire inside the window.
   if (in_flap(on_wire)) {
-    ++stats->flap_dropped;
+    ++s.stats.flap_dropped;
     d.verdict = Verdict::kFlapDrop;
     return d;
   }
@@ -172,10 +137,9 @@ Decision FaultInjector::decide_keyed(std::uint64_t chain_key,
   // Gilbert-Elliott chain: advance this link's chain to the message's wire
   // time, then apply the current state's loss probability.
   if (plan_.gilbert && plan_.ge_step > 0) {
-    GeState& st = ge != nullptr ? *ge : ge_[chain_key];
-    ge_advance(st, *rng, *stats, on_wire);
-    if (rng->bernoulli(st.bad ? plan_.ge_loss_bad : plan_.ge_loss_good)) {
-      ++stats->dropped;
+    ge_advance(s, on_wire);
+    if (s.rng.bernoulli(s.ge_bad ? plan_.ge_loss_bad : plan_.ge_loss_good)) {
+      ++s.stats.dropped;
       d.verdict = Verdict::kDrop;
       return d;
     }
@@ -184,34 +148,32 @@ Decision FaultInjector::decide_keyed(std::uint64_t chain_key,
   double drop_p = plan_.drop_p;
   double corrupt_p = plan_.corrupt_p;
   double reorder_p = plan_.reorder_p;
-  if (hop.link != kNoLink) {
-    for (const LinkFaultOverride& o : plan_.link_fault_overrides) {
-      if (o.link == hop.link) {
-        drop_p = o.drop_p;
-        corrupt_p = o.corrupt_p;
-        reorder_p = o.reorder_p;
-        break;
-      }
+  for (const LinkFaultOverride& o : plan_.link_fault_overrides) {
+    if (o.link == hop.link) {
+      drop_p = o.drop_p;
+      corrupt_p = o.corrupt_p;
+      reorder_p = o.reorder_p;
+      break;
     }
   }
 
-  if (drop_p > 0 && rng->bernoulli(drop_p)) {
-    ++stats->dropped;
+  if (drop_p > 0 && s.rng.bernoulli(drop_p)) {
+    ++s.stats.dropped;
     d.verdict = Verdict::kDrop;
     return d;
   }
-  if (corrupt_p > 0 && rng->bernoulli(corrupt_p)) {
+  if (corrupt_p > 0 && s.rng.bernoulli(corrupt_p)) {
     // ICRC failure: the receiving NIC discards the packet.
-    ++stats->corrupted;
+    ++s.stats.corrupted;
     d.verdict = Verdict::kCorrupt;
     return d;
   }
-  if (reorder_p > 0 && rng->bernoulli(reorder_p)) {
-    ++stats->reordered;
+  if (reorder_p > 0 && s.rng.bernoulli(reorder_p)) {
+    ++s.stats.reordered;
     d.extra_delay = static_cast<sim::SimDur>(
-        rng->uniform() * static_cast<double>(plan_.reorder_delay_max));
+        s.rng.uniform() * static_cast<double>(plan_.reorder_delay_max));
   }
-  ++stats->delivered;
+  ++s.stats.delivered;
   return d;
 }
 

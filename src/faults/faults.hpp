@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "rnic/op.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -32,12 +31,14 @@
 // checksum and discards the packet, so the visible effect is loss — it is
 // counted separately because monitors see corrupt-discard counters.
 //
-// Determinism contract: the injector draws only from its own
-// xoshiro256++ stream seeded by FaultPlan::seed, so a given (plan, message
-// sequence) always yields the same verdicts regardless of wall clock or
-// thread placement.  With no plan armed the topology never consults (or
-// even constructs) an injector, so fault-off runs are byte-identical to the
-// pre-fault simulator.
+// Determinism contract: every directed link draws from its own
+// xoshiro256++ stream, seeded from FaultPlan::seed and the link's chain
+// key, and keeps its own Gilbert-Elliott chain and counters.  A verdict is
+// therefore a function of (seed, link, that link's own message order)
+// alone, whatever the wall clock, thread placement or shard layout.  With
+// no plan armed the topology never consults (or even constructs) an
+// injector, so fault-off runs are byte-identical to the pre-fault
+// simulator.
 namespace ragnar::faults {
 
 // All messages on the scoped links are lost while on the wire in
@@ -105,18 +106,8 @@ struct FaultPlan {
   // whose *requester* node is listed (replies to that requester included).
   std::vector<rnic::NodeId> scoped_tenants;
 
-  // Draw verdicts from an independent RNG stream per *directed link*
-  // (seeded from `seed` and the chain key) instead of one injector-wide
-  // stream.  Off by default: the shared stream is the historical behaviour
-  // and stays byte-identical.  With per-link streams every verdict depends
-  // only on (seed, link, that link's own message order) — and each directed
-  // link is only ever consulted from the shard that owns its transmitting
-  // node — so an armed plan no longer forces the engine into serial
-  // windows.  The two modes draw different random sequences: flipping this
-  // flag changes verdicts, not just their schedule.
+  // Unused: every plan draws from per-directed-link streams.
   bool per_link_rng = false;
-
-  bool active() const { return enabled; }
 
   // Convenience factories for the common campaigns.  `mean_burst` is the
   // average bad-state duration; the good->bad rate is solved so the
@@ -181,7 +172,11 @@ struct Decision {
 
 class FaultInjector {
  public:
-  explicit FaultInjector(FaultPlan plan);
+  // One stream per directed link of a topology with links [0, n_links);
+  // decide() must name one of them.  Every slot is created here, so
+  // decide() never allocates and shards consulting different links in
+  // parallel share no state.
+  FaultInjector(FaultPlan plan, std::size_t n_links);
 
   // One verdict per link traversal.  `hop` names the directed link the
   // message is about to cross; `requester` is the node that issued the
@@ -192,50 +187,28 @@ class FaultInjector {
   Decision decide(const LinkHop& hop, rnic::NodeId requester,
                   sim::SimTime on_wire);
 
-  // Pre-create the per-link RNG slots for links [0, n_links) plus the
-  // kNoLink slot.  A per_link_rng plan consulted from parallel shards must
-  // never insert into the slot table on the hot path (insertion is the only
-  // cross-link mutation); Topology::set_fault_plan calls this at arm time.
-  // No-op for shared-stream plans.
-  void reserve_links(std::size_t n_links);
-
-  const FaultPlan& plan() const { return plan_; }
-  // Aggregated over the per-link slots when per_link_rng is set.
+  // Summed over every directed link.
   FaultStats stats() const;
 
  private:
-  // Gilbert-Elliott state per directed link; `last` is the chain's position
-  // on the simulated clock, quantized to ge_step.
-  struct GeState {
-    bool bad = false;
-    sim::SimTime last = 0;
-  };
-
-  // One directed link's private stream under per_link_rng: its own RNG,
-  // Gilbert-Elliott chain, and stats counters, so concurrent shards never
-  // touch another link's state.
+  // One directed link's private stream: its own RNG, Gilbert-Elliott chain
+  // and stats counters.  `ge_last` is the chain's position on the
+  // simulated clock, quantized to ge_step.
   struct LinkSlot {
     explicit LinkSlot(std::uint64_t seed) : rng(seed) {}
     sim::Xoshiro256 rng;
-    GeState ge;
+    bool ge_bad = false;
+    sim::SimTime ge_last = 0;
     FaultStats stats;
   };
 
   bool in_scope(rnic::NodeId requester) const;
   bool in_flap(sim::SimTime on_wire) const;
-  void ge_advance(GeState& st, sim::Xoshiro256& rng, FaultStats& stats,
-                  sim::SimTime now);
-  Decision decide_keyed(std::uint64_t chain_key, const LinkHop& hop,
-                        rnic::NodeId requester, sim::SimTime on_wire);
-  LinkSlot& slot_for(std::uint64_t chain_key);
+  void ge_advance(LinkSlot& s, sim::SimTime now);
 
   FaultPlan plan_;
-  sim::Xoshiro256 rng_;
-  FaultStats stats_;
-  // Chain key: (LinkId << 1) | reverse — bijective per directed link.
-  sim::FlatMap<std::uint64_t, GeState> ge_;
-  // per_link_rng mode only; same chain key.
-  sim::FlatMap<std::uint64_t, LinkSlot> slots_;
+  // Indexed by chain key (link << 1) | reverse.
+  std::vector<LinkSlot> slots_;
 };
 
 }  // namespace ragnar::faults

@@ -232,7 +232,7 @@ void Engine::drain_mail(ShardId dest, unsigned parity) {
 
 void Engine::exec_window(SimTime upto) {
   window_upto_ = upto;
-  if (workers_ <= 1 || serial_windows_) {
+  if (workers_ <= 1) {
     for (ShardId s = 0; s < shard_count(); ++s) exec_shard_window(s, upto);
     return;
   }

@@ -110,13 +110,6 @@ class Engine {
   void constrain_lookahead(SimDur lat);
   SimDur lookahead() const { return lookahead_; }
 
-  // Force windows to execute serially on the calling thread even when
-  // worker threads are available.  The fault injector needs this: its RNG
-  // stream is shared across links, so parallel shard execution would make
-  // draw order racy.  Output stays deterministic, parallel speedup is lost.
-  void set_serial_windows(bool serial) { serial_windows_ = serial; }
-  bool serial_windows() const { return serial_windows_; }
-
   // --- run loop -----------------------------------------------------------
   // Run all events with timestamp <= t, then advance every clock to t.
   void run_until(SimTime t);
@@ -177,7 +170,6 @@ class Engine {
   void merge_shard_metrics();
 
   bool windowed_ = false;
-  bool serial_windows_ = false;
   SimDur lookahead_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::uint64_t windows_ = 0;

@@ -69,7 +69,10 @@ TEST(Harmonic, EnforcementThrottlesAndLifts) {
   HarmonicPolicy policy;
   policy.grain2_stream_mpps_cap = 1.0;  // flag the flood in its first window
   HarmonicMonitor mon(bed.sched(), bed.server().device(), sim::ms(1), policy);
-  mon.enable_enforcement(/*throttle_gbps=*/2.0, /*clean_windows_to_lift=*/2);
+  Enforcer enf{EnforcerPolicy{/*throttle_gbps=*/2.0,
+                              /*clean_windows_to_lift=*/2}};
+  enf.attach(&bed.server().device().control());
+  mon.attach_enforcer(&enf);
   mon.start();
 
   revng::FlowSpec flood;

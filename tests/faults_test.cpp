@@ -8,6 +8,7 @@
 #include "fabric/topology.hpp"
 #include "faults/faults.hpp"
 #include "revng/testbed.hpp"
+#include "sim/concurrency.hpp"
 #include "sim/engine.hpp"
 #include "verbs/context.hpp"
 
@@ -26,7 +27,7 @@ LinkHop hop(LinkId link, bool reverse = false) {
 }
 
 TEST(FaultInjector, DisabledPlanDeliversEverything) {
-  FaultInjector inj{FaultPlan{}};
+  FaultInjector inj{FaultPlan{}, 1};
   for (int i = 0; i < 100; ++i) {
     const Decision d = inj.decide(hop(0), 0, sim::us(i));
     EXPECT_EQ(d.verdict, Verdict::kDeliver);
@@ -38,7 +39,7 @@ TEST(FaultInjector, DisabledPlanDeliversEverything) {
 
 TEST(FaultInjector, SameSeedYieldsSameVerdicts) {
   const FaultPlan plan = FaultPlan::bursty_loss(0.10, sim::us(500), 42);
-  FaultInjector a{plan}, b{plan};
+  FaultInjector a{plan, 1}, b{plan, 1};
   for (int i = 0; i < 5000; ++i) {
     const sim::SimTime t = sim::us(i);
     EXPECT_EQ(static_cast<int>(a.decide(hop(0), 0, t).verdict),
@@ -50,7 +51,7 @@ TEST(FaultInjector, SameSeedYieldsSameVerdicts) {
 }
 
 TEST(FaultInjector, UniformLossHitsConfiguredRate) {
-  FaultInjector inj{FaultPlan::uniform_loss(0.3, 7)};
+  FaultInjector inj{FaultPlan::uniform_loss(0.3, 7), 1};
   for (int i = 0; i < 10000; ++i) inj.decide(hop(0), 0, sim::us(i));
   EXPECT_NEAR(inj.stats().loss_rate(), 0.3, 0.03);
 }
@@ -71,8 +72,8 @@ TEST(FaultInjector, GilbertElliottLossComesInBursts) {
     }
     return best;
   };
-  FaultInjector bursty{FaultPlan::bursty_loss(0.10, sim::us(500), 11)};
-  FaultInjector uniform{FaultPlan::uniform_loss(0.10, 11)};
+  FaultInjector bursty{FaultPlan::bursty_loss(0.10, sim::us(500), 11), 1};
+  FaultInjector uniform{FaultPlan::uniform_loss(0.10, 11), 1};
   EXPECT_GE(max_drop_run(bursty), 50);
   EXPECT_LT(max_drop_run(uniform), 50);
   // Dwell accounting: the chain spent roughly the target fraction of time
@@ -85,7 +86,7 @@ TEST(FaultInjector, FlapWindowIsDeterministic) {
   FaultPlan plan;
   plan.enabled = true;
   plan.flaps.push_back({sim::us(10), sim::us(20)});
-  FaultInjector inj{plan};
+  FaultInjector inj{plan, 1};
   EXPECT_EQ(inj.decide(hop(0), 0, sim::us(5)).verdict, Verdict::kDeliver);
   EXPECT_EQ(inj.decide(hop(0), 0, sim::us(10)).verdict, Verdict::kFlapDrop);
   EXPECT_EQ(inj.decide(hop(0), 0, sim::us(15)).verdict, Verdict::kFlapDrop);
@@ -96,7 +97,7 @@ TEST(FaultInjector, FlapWindowIsDeterministic) {
 TEST(FaultInjector, TenantScopingSparesBystanders) {
   FaultPlan plan = FaultPlan::uniform_loss(1.0, 3);
   plan.scoped_tenants = {3};
-  FaultInjector inj{plan};
+  FaultInjector inj{plan, 1};
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(inj.decide(hop(0), /*requester=*/3, sim::us(i)).verdict,
               Verdict::kDrop);
@@ -122,7 +123,7 @@ TEST(FaultInjectorLinks, DirectionsKeepIndependentChains) {
   plan.gilbert = true;
   plan.ge_p_good_to_bad = 0;  // absorbing good state: no RNG noise
   plan.ge_loss_good = 0;
-  FaultInjector inj{plan};
+  FaultInjector inj{plan, 4};
 
   EXPECT_EQ(inj.decide(hop(3, false), 0, sim::us(5)).verdict,
             Verdict::kDeliver);
@@ -145,7 +146,7 @@ TEST(FaultInjectorLinks, LinkOverrideAppliesOnlyToItsLink) {
   lo.link = 4;
   lo.drop_p = 1.0;  // ... except link 4
   plan.link_fault_overrides.push_back(lo);
-  FaultInjector inj{plan};
+  FaultInjector inj{plan, 10};
 
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(inj.decide(hop(4), 0, sim::us(i)).verdict, Verdict::kDrop);
@@ -163,7 +164,7 @@ TEST(FaultInjectorLinks, LinkOverrideOverridesPlanDefaults) {
   lo.link = 4;
   lo.drop_p = 0.0;  // ... except link 4, which is clean
   plan.link_fault_overrides.push_back(lo);
-  FaultInjector inj{plan};
+  FaultInjector inj{plan, 10};
 
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(inj.decide(hop(4), 0, sim::us(i)).verdict, Verdict::kDeliver);
@@ -177,7 +178,7 @@ TEST(FaultInjector, CorruptionIsCountedSeparately) {
   FaultPlan plan;
   plan.enabled = true;
   plan.corrupt_p = 1.0;
-  FaultInjector inj{plan};
+  FaultInjector inj{plan, 1};
   EXPECT_EQ(inj.decide(hop(0), 0, 0).verdict, Verdict::kCorrupt);
   EXPECT_EQ(inj.stats().corrupted, 1u);
   EXPECT_EQ(inj.stats().dropped, 0u);
@@ -189,7 +190,7 @@ TEST(FaultInjector, ReorderDelaysButDelivers) {
   plan.enabled = true;
   plan.reorder_p = 1.0;
   plan.reorder_delay_max = sim::us(5);
-  FaultInjector inj{plan};
+  FaultInjector inj{plan, 1};
   for (int i = 0; i < 50; ++i) {
     const Decision d = inj.decide(hop(0), 0, sim::us(i));
     EXPECT_EQ(d.verdict, Verdict::kDeliver);
@@ -418,7 +419,7 @@ TEST(FramedCovert, FramingBeatsRawDecodingAtTwoPercentLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-link RNG streams: shard invariance and serial-window relaxation
+// Per-link RNG streams: pinned verdicts and shard invariance
 // ---------------------------------------------------------------------------
 
 // Every directed link draws from its own seeded stream, so the verdict
@@ -427,14 +428,11 @@ TEST(FramedCovert, FramingBeatsRawDecodingAtTwoPercentLoss) {
 TEST(FaultInjectorPerLink, VerdictsDependOnlyOnPerLinkOrder) {
   FaultPlan plan = FaultPlan::uniform_loss(0.3, 17);
   plan.reorder_p = 0.2;
-  plan.per_link_rng = true;
 
   // Run A: strictly alternate links 0 and 1.  Run B: all of link 0's
-  // messages first, then all of link 1's.  A shared stream would give the
-  // two interleavings different verdicts; per-link streams must not.
-  FaultInjector a{plan}, b{plan};
-  a.reserve_links(2);
-  b.reserve_links(2);
+  // messages first, then all of link 1's.  The two interleavings must give
+  // every link the same verdicts.
+  FaultInjector a{plan, 2}, b{plan, 2};
   std::vector<Verdict> a0, a1, b0, b1;
   for (int i = 0; i < 500; ++i) {
     a0.push_back(a.decide(hop(0), 0, sim::us(i)).verdict);
@@ -456,22 +454,73 @@ TEST(FaultInjectorPerLink, VerdictsDependOnlyOnPerLinkOrder) {
   EXPECT_EQ(a.stats().dropped, b.stats().dropped);
 }
 
+// 64 decisions on each direction of links 0-3 under two plans, pinned to
+// the values the per-directed-link streams give for these seeds.  Per-link
+// drop counts catch a slip in seeding or in the (link << 1) | reverse slot
+// index even where the totals would survive it.
+TEST(FaultInjectorPerLink, PinnedVerdictsOnFourLinks) {
+  struct Tally {
+    std::vector<int> dropped;  // per directed link, (link << 1) | reverse
+    FaultStats stats;
+    sim::SimDur delay = 0;
+  };
+  const auto run = [](const FaultPlan& plan) {
+    FaultInjector inj{plan, 4};
+    Tally t;
+    t.dropped.assign(8, 0);
+    for (int i = 0; i < 64; ++i) {
+      for (LinkId link = 0; link < 4; ++link) {
+        for (bool reverse : {false, true}) {
+          const Decision d = inj.decide(hop(link, reverse), 0, sim::us(i));
+          if (d.verdict == Verdict::kDrop) ++t.dropped[(link << 1) | reverse];
+          t.delay += d.extra_delay;
+        }
+      }
+    }
+    t.stats = inj.stats();
+    return t;
+  };
+
+  FaultPlan uniform = FaultPlan::uniform_loss(0.3, 17);
+  uniform.reorder_p = 0.2;
+  const Tally u = run(uniform);
+  EXPECT_EQ(u.dropped, (std::vector<int>{15, 23, 21, 18, 18, 20, 24, 16}));
+  EXPECT_EQ(u.stats.dropped, 155u);
+  EXPECT_EQ(u.stats.corrupted, 0u);
+  EXPECT_EQ(u.stats.reordered, 78u);
+  EXPECT_EQ(u.stats.delivered, 357u);
+  EXPECT_EQ(u.delay, 194186418);
+
+  FaultPlan bursty = FaultPlan::bursty_loss(0.1, sim::us(8), 23);
+  bursty.corrupt_p = 0.05;
+  bursty.reorder_p = 0.1;
+  const Tally b = run(bursty);
+  EXPECT_EQ(b.dropped, (std::vector<int>{4, 12, 0, 0, 14, 7, 0, 6}));
+  EXPECT_EQ(b.stats.dropped, 43u);
+  EXPECT_EQ(b.stats.corrupted, 27u);
+  EXPECT_EQ(b.stats.reordered, 32u);
+  EXPECT_EQ(b.stats.delivered, 442u);
+  EXPECT_EQ(b.stats.ge_steps, 504u);
+  EXPECT_EQ(b.stats.ge_bad_steps, 42u);
+  EXPECT_EQ(b.delay, 76419205);
+}
+
 namespace shard_invariance {
 
 // Two racks, one 25G uplink, a direct h1-h3 link, a faulted fabric, and an
 // open-loop burst of reliable WRITEs from each rack-0 host to its rack-1
 // peer: h0 -> h2 crosses both switches, h1 -> h3 crosses shards on the
 // direct link without touching a switch.  Returns everything observable:
-// completion records, fault stats, bytes on the direct link, and whether
-// the engine was forced into serial windows.
+// completion records, fault stats, bytes on the direct link, and the
+// engine's worker count.
 struct FabricRun {
   std::vector<std::tuple<std::uint64_t, int, sim::SimTime>> completions;
   faults::FaultStats stats;
   std::uint64_t direct_bytes = 0;
-  bool serial = false;
+  unsigned workers = 0;
 };
 
-FabricRun run_faulted_fabric(std::size_t shards, bool per_link) {
+FabricRun run_faulted_fabric(std::size_t shards) {
   sim::Engine eng(sim::Engine::Options{static_cast<std::uint32_t>(shards),
                                        sim::kMillisecond});
   const auto rack1 = static_cast<sim::ShardId>(1 % shards);
@@ -503,7 +552,6 @@ FabricRun run_faulted_fabric(std::size_t shards, bool per_link) {
   plan.drop_p = 0.03;
   plan.corrupt_p = 0.01;
   plan.reorder_p = 0.05;
-  plan.per_link_rng = per_link;
   topo->set_fault_plan(plan);
 
   std::vector<std::unique_ptr<verbs::Context>> ctx;
@@ -551,7 +599,7 @@ FabricRun run_faulted_fabric(std::size_t shards, bool per_link) {
   }
 
   FabricRun out;
-  out.serial = eng.serial_windows();
+  out.workers = eng.workers();
   eng.run_until(sim::ms(20));
   for (Conn* c : {&c02, &c13}) {
     verbs::Wc wc;
@@ -568,19 +616,18 @@ FabricRun run_faulted_fabric(std::size_t shards, bool per_link) {
 
 }  // namespace shard_invariance
 
-// The satellite contract: an armed per-link plan is byte-identical across
-// shard counts (and no longer forces serial windows), while a shared-stream
-// plan still does force them.
+// An armed plan is byte-identical across shard counts, with the 2- and
+// 3-shard runs on parallel workers whatever the host's core count.
 TEST(FaultInjectorPerLink, ArmedPlanIsShardCountInvariant) {
   using shard_invariance::run_faulted_fabric;
-  const auto one = run_faulted_fabric(1, true);
-  EXPECT_FALSE(one.serial);
+  sim::ConcurrencyBudget::instance().set_total(4);
+  const auto one = run_faulted_fabric(1);
   EXPECT_GT(one.stats.total_lost(), 0u) << "plan never fired";
   EXPECT_FALSE(one.completions.empty());
   EXPECT_GT(one.direct_bytes, 0u) << "h1 -> h3 bypassed the direct link";
   for (std::size_t shards : {2u, 3u}) {
-    const auto many = run_faulted_fabric(shards, true);
-    EXPECT_FALSE(many.serial);
+    const auto many = run_faulted_fabric(shards);
+    EXPECT_GT(many.workers, 1u) << shards << " shards";
     EXPECT_EQ(one.completions, many.completions) << shards << " shards";
     EXPECT_EQ(one.stats.delivered, many.stats.delivered) << shards;
     EXPECT_EQ(one.stats.dropped, many.stats.dropped) << shards;
@@ -591,11 +638,7 @@ TEST(FaultInjectorPerLink, ArmedPlanIsShardCountInvariant) {
     EXPECT_EQ(one.stats.ge_bad_steps, many.stats.ge_bad_steps) << shards;
     EXPECT_EQ(one.direct_bytes, many.direct_bytes) << shards;
   }
-}
-
-TEST(FaultInjectorPerLink, SharedStreamPlansStillForceSerialWindows) {
-  const auto shared = shard_invariance::run_faulted_fabric(2, false);
-  EXPECT_TRUE(shared.serial);
+  sim::ConcurrencyBudget::instance().set_total(0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "apps/dmem_kv.hpp"
 #include "covert/ecc.hpp"
 #include "covert/uli_channel.hpp"
+#include "defense/enforcer.hpp"
 #include "defense/harmonic.hpp"
 #include "side/snoop.hpp"
 #include "revng/ambient.hpp"
@@ -23,7 +24,9 @@ TEST(Integration, CovertChannelUnderMonitorWithBystanderAndTelemetry) {
 
   defense::HarmonicMonitor mon(ch.scheduler(), ch.server_device(),
                                sim::ms(1));
-  mon.enable_enforcement(5.0);
+  defense::Enforcer enf{defense::EnforcerPolicy{5.0, 3}};
+  enf.attach(&ch.server_device().control());
+  mon.attach_enforcer(&enf);
   mon.start();
   telemetry::CounterSampler sampler(ch.scheduler(), ch.server_device(),
                                     sim::us(500));

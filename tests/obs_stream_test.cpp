@@ -103,7 +103,9 @@ TEST(GkSketch, MillionSamplesStayUnderTupleCap) {
   for (std::uint64_t i = 0; i < 1'000'000; ++i) {
     sk.insert(static_cast<double>(i));
     if (i == 100'000) footprint_at_100k = sk.footprint_bytes();
-    if ((i & 0xffff) == 0) ASSERT_LE(sk.tuples(), 256u) << "at insert " << i;
+    if ((i & 0xffff) == 0) {
+      ASSERT_LE(sk.tuples(), 256u) << "at insert " << i;
+    }
   }
   EXPECT_EQ(sk.count(), 1'000'000u);
   EXPECT_LE(sk.tuples(), 256u);
