@@ -195,12 +195,17 @@ double WindowedRate::rate_per_sec() const {
 }
 
 std::vector<double> WindowedRate::series() const {
-  std::vector<double> out(bins_.size(), 0.0);
+  std::vector<double> out;
+  series_into(out);
+  return out;
+}
+
+void WindowedRate::series_into(std::vector<double>& out) const {
+  out.resize(bins_.size());
   for (std::size_t i = 0; i < bins_.size(); ++i) {
     // oldest first: slot head_slot_+1 is the oldest bin in the ring.
     out[i] = bins_[(head_slot_ + 1 + i) % bins_.size()];
   }
-  return out;
 }
 
 std::size_t WindowedRate::footprint_bytes() const {

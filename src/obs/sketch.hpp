@@ -96,6 +96,8 @@ class WindowedRate {
   // Copy of the ring, oldest bin first — the periodicity detectors consume
   // this as a fixed-length signal.
   std::vector<double> series() const;
+  // The same copy into `out`, reusing its storage.
+  void series_into(std::vector<double>& out) const;
 
   sim::SimDur bin_width() const { return bin_width_; }
   std::size_t bins() const { return bins_.size(); }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -7,6 +8,7 @@
 #include "defense/online/detectors.hpp"
 #include "defense/online/pipeline.hpp"
 #include "obs/stream.hpp"
+#include "sim/random.hpp"
 #include "sim/time.hpp"
 
 // Online defense pipeline unit tests (docs/DEFENSE.md): the Grain-IV
@@ -58,6 +60,49 @@ TEST(ModulationScore, FlatAndEmptySeriesScoreZero) {
   EXPECT_DOUBLE_EQ(modulation_score({}, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(modulation_score(std::vector<double>(32, 7.0), 0.5), 0.0);
   EXPECT_DOUBLE_EQ(modulation_score(std::vector<double>(32, 0.0), 0.5), 0.0);
+}
+
+namespace {
+
+// The one-lag-at-a-time autocorrelation periodicity_score replaced.  The
+// blocked version must give the same double, bit for bit.
+double reference_periodicity(const std::vector<double>& series) {
+  const std::size_t n = series.size();
+  if (n < 8) return 0;
+  double mean = 0;
+  for (double v : series) mean += v;
+  mean /= static_cast<double>(n);
+  double var = 0;
+  for (double v : series) var += (v - mean) * (v - mean);
+  if (var <= 0) return 0;
+  const std::size_t max_lag = n / 4;
+  double best = 0;
+  for (std::size_t lag = 2; lag <= max_lag; ++lag) {
+    double acc = 0;
+    for (std::size_t i = 0; i + lag < n; ++i) {
+      acc += (series[i] - mean) * (series[i + lag] - mean);
+    }
+    best = std::max(best, acc / var);
+  }
+  return std::clamp(best, 0.0, 1.0);
+}
+
+}  // namespace
+
+TEST(PeriodicityScore, BitIdenticalToOneLagAtATime) {
+  sim::Xoshiro256 rng(2024);
+  for (std::size_t n = 8; n <= 256; ++n) {
+    std::vector<double> random(n), periodic(n), flat(n, 3.0), ramp(n);
+    const std::size_t period = 2 + n % 7;
+    for (std::size_t i = 0; i < n; ++i) {
+      random[i] = rng.uniform() * 1000.0;
+      periodic[i] = (i / period) % 2 == 0 ? 100.0 + rng.uniform() : 0.0;
+      ramp[i] = static_cast<double>(i) * 0.1 + rng.uniform();
+    }
+    for (const auto* s : {&random, &periodic, &flat, &ramp}) {
+      EXPECT_EQ(periodicity_score(*s), reference_periodicity(*s)) << "n=" << n;
+    }
+  }
 }
 
 // Amplitude modulation (random bit sizes) hides the period in the byte
